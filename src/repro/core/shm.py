@@ -16,7 +16,9 @@ milliseconds and score against the *same* physical bytes:
   layout as FPSMBIN1 model files) and writes the image into a fresh
   segment; ``attach`` opens it by name; ``materialize`` rebuilds
   scoring objects whose numeric columns are ``memoryview`` casts
-  straight into the mapping (no copy, bit-identical scores).
+  straight into the mapping (no copy, bit-identical scores).  Either
+  half may be left out: trie-only *matcher* segments and grammar-only
+  segments let the serve pool republish just the grammar per epoch.
 * :class:`MaterializedScoringState` — what a worker scores with: the
   compiled matchers, the (lazily decoded) frozen grammar, and the
   parser configuration needed to rebuild a byte-identical
@@ -34,11 +36,12 @@ called ``create``); owners must ``unlink`` when the epoch is retired,
 and an ``atexit`` hook unlinks anything they leaked.  Attached
 processes only ever ``close`` their mapping — CPython < 3.13 wrongly
 registers attachments with the ``resource_tracker`` (whose exit-time
-cleanup would unlink a segment the process does not own), so ``attach``
-immediately unregisters.  ``close`` is BufferError-safe: materialized
-states export views into the mapping, and while any survive the
-mapping is left open for the OS to reclaim at process exit rather than
-failing the caller.
+cleanup would unlink a segment the process does not own), so
+``attach`` unregisters unless it shares the owner's tracker (see
+``attach``).  ``close`` is BufferError-safe: materialized states
+export views into the mapping, and while any survive the mapping is
+left open for the OS to reclaim at process exit rather than failing
+the caller (counted as ``shm.segment.close_deferred``).
 """
 
 from __future__ import annotations
@@ -47,10 +50,11 @@ import atexit
 import gc
 import multiprocessing
 import os
+import sys
 import uuid
 from multiprocessing import resource_tracker, shared_memory
 from multiprocessing.context import BaseContext
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro import obs
 from repro.core.compiled_trie import CompiledTrie
@@ -100,7 +104,9 @@ class MaterializedScoringState:
 
     Numeric columns inside ``forward``/``reversed_matcher``/``frozen``
     are zero-copy views into the segment mapping: keep the state (or
-    its parser) alive only while the segment is attached.
+    its parser) alive only while the segment is attached.  A
+    grammar-only segment has no ``forward`` matcher; a trie-only one
+    has no ``frozen`` grammar.
     """
 
     __slots__ = (
@@ -111,7 +117,7 @@ class MaterializedScoringState:
     def __init__(
         self,
         epoch: int,
-        forward: CompiledTrie,
+        forward: Optional[CompiledTrie],
         reversed_matcher: Optional[CompiledTrie],
         frozen: Optional[FrozenGrammar],
         min_length: int,
@@ -128,6 +134,8 @@ class MaterializedScoringState:
 
     def build_parser(self) -> FuzzyParser:
         """A parser that parses byte-identically to the publisher's."""
+        if self.forward is None:
+            raise ValueError("segment carries no matcher tables")
         return FuzzyParser.from_compiled(
             self.forward,
             self.reversed_matcher,
@@ -143,6 +151,20 @@ class MaterializedScoringState:
 #: inherit this dict but not ownership) from destroying segments the
 #: parent is still serving.
 _OWNED: Dict[str, "SharedScoringSegment"] = {}
+
+
+def _tracker_identity() -> Optional[List[int]]:
+    """``[st_dev, st_ino]`` of the pipe into this process's resource
+    tracker (started if needed), or ``None`` where there is none.
+
+    Fork, spawn and forkserver children inherit their parent's tracker
+    pipe, so two processes with equal identities share one tracker.
+    """
+    try:
+        stat = os.fstat(resource_tracker.getfd())
+    except (AttributeError, OSError):  # pragma: no cover - no tracker
+        return None
+    return [stat.st_dev, stat.st_ino]
 
 
 def _cleanup_owned_segments() -> None:
@@ -180,7 +202,7 @@ class SharedScoringSegment:
         cls,
         *,
         epoch: int,
-        forward: CompiledTrie,
+        forward: Optional[CompiledTrie],
         min_length: int,
         flags: Mapping[str, bool],
         parse_cache_size: int,
@@ -189,21 +211,22 @@ class SharedScoringSegment:
     ) -> "SharedScoringSegment":
         """Pack a scoring snapshot into a fresh shared segment.
 
-        ``frozen`` is optional so the training engine can publish
-        trie-only segments (workers there parse, they do not score).
+        Every part is optional: the training engine and the serve pool
+        publish trie-only *matcher* segments (``frozen=None``), and the
+        serve pool publishes one grammar-only segment per epoch
+        (``forward=None``), because ``/accept`` never changes the
+        matchers.
         """
-        trie_meta, trie_sections = forward.to_arrays()
-        sections: Dict[str, Any] = {
-            f"t.{name}": value for name, value in trie_sections.items()
-        }
-        parts: Dict[str, Any] = {"t": trie_meta}
-        if reversed_matcher is not None:
-            rev_meta, rev_sections = reversed_matcher.to_arrays()
-            parts["r"] = rev_meta
-            sections.update(
-                (f"r.{name}", value)
-                for name, value in rev_sections.items()
-            )
+        sections: Dict[str, Any] = {}
+        parts: Dict[str, Any] = {}
+        for prefix, matcher in (("t", forward), ("r", reversed_matcher)):
+            if matcher is not None:
+                meta, columns = matcher.to_arrays()
+                parts[prefix] = meta
+                sections.update(
+                    (f"{prefix}.{name}", value)
+                    for name, value in columns.items()
+                )
         if frozen is not None:
             grammar_meta, grammar_sections = frozen.to_tables()
             parts["g"] = grammar_meta
@@ -219,6 +242,7 @@ class SharedScoringSegment:
                 "flags": dict(flags),
                 "parse_cache_size": parse_cache_size,
                 "parts": parts,
+                "tracker": _tracker_identity(),
             },
             sections,
         )
@@ -247,22 +271,31 @@ class SharedScoringSegment:
     @classmethod
     def attach(cls, name: str) -> "SharedScoringSegment":
         """Open an existing segment by name (non-owning)."""
-        shm = shared_memory.SharedMemory(name=name)
-        # CPython < 3.13 registers *attached* segments with the
-        # resource tracker too; its exit-time cleanup would unlink a
-        # segment this process does not own.  Undo the registration —
-        # except when this very process is the owner (self-attach, e.g.
-        # the serial fallback path), where the tracker entry belongs to
-        # ``create`` and is balanced by ``unlink``.
-        if name not in _OWNED:
-            try:
-                resource_tracker.unregister(
-                    getattr(shm, "_name", "/" + shm.name), "shared_memory"
-                )
-            except (KeyError, ValueError):  # pragma: no cover - quirk
-                pass
-        view = memoryview(shm.buf)
-        header = read_header(view, MAGIC)
+        if sys.version_info >= (3, 13):
+            shm = shared_memory.SharedMemory(name=name, track=False)
+        else:
+            shm = shared_memory.SharedMemory(name=name)
+        header: Dict[str, Any] = {}
+        try:
+            header = read_header(memoryview(shm.buf), MAGIC)
+        finally:
+            # CPython < 3.13 registers *attached* segments with the
+            # resource tracker too.  A tracker entry is a set member,
+            # so when this process shares the owner's tracker (its
+            # fork/spawn descendants, or the owner itself) the add was
+            # a no-op and removing it would strip the owner's entry —
+            # the owner's ``unlink`` then trips a KeyError inside the
+            # tracker.  Any other tracker must forget the name, or its
+            # exit-time cleanup would unlink a segment it never owned.
+            if sys.version_info < (3, 13):
+                owner_tracker = header.get("tracker")
+                if owner_tracker is None or (
+                    owner_tracker != _tracker_identity()
+                ):
+                    resource_tracker.unregister(
+                        getattr(shm, "_name", "/" + shm.name),
+                        "shared_memory",
+                    )
         segment = cls(shm, int(header["epoch"]), owner_pid=None)
         telemetry = obs.get()
         if telemetry.enabled:
@@ -284,7 +317,11 @@ class SharedScoringSegment:
                 if name.startswith(tag)
             }
 
-        forward = CompiledTrie.from_arrays(parts["t"], part("t"))
+        forward = (
+            CompiledTrie.from_arrays(parts["t"], part("t"))
+            if "t" in parts
+            else None
+        )
         reversed_matcher = (
             CompiledTrie.from_arrays(parts["r"], part("r"))
             if "r" in parts
@@ -317,10 +354,12 @@ class SharedScoringSegment:
         """Detach this process's mapping (idempotent).
 
         Materialized states hold zero-copy views into the mapping;
-        while any survive, closing would raise ``BufferError``.  One
-        GC pass is attempted to collect dropped states; if views still
+        while any survive, closing would raise ``BufferError``.  That
+        fallback is counted as ``shm.segment.close_deferred``: one GC
+        pass is attempted to collect dropped states; if views still
         remain the mapping is left open (the OS reclaims it at process
-        exit) instead of failing the caller mid-swap.
+        exit) instead of failing the caller mid-swap.  Callers that
+        drop their views first never take it.
         """
         if self._closed:
             return
@@ -328,6 +367,9 @@ class SharedScoringSegment:
         try:
             shm.close()
         except BufferError:
+            telemetry = obs.get()
+            if telemetry.enabled:
+                telemetry.incr("shm.segment.close_deferred")
             gc.collect()
             try:
                 shm.close()

@@ -7,19 +7,22 @@ the flat-array :class:`~repro.core.compiled_trie.CompiledTrie`
 matchers plus the :class:`~repro.core.frozen.FrozenGrammar` scoring
 kernel, stamped with the grammar epoch they were taken at.  The
 snapshot is the *only* thing worker processes ever see, and it
-travels as a *shared-memory segment name*, never a pickle: the pool
-:meth:`ServingSnapshot.publish`-es the flat tables into one POSIX
-segment (DESIGN.md §16) and each worker attaches zero-copy via
-:meth:`ServingSnapshot.from_segment` — identical under fork and spawn
-start methods, replaced wholesale on hot reload.
+travels as *shared-memory segment names*, never a pickle (DESIGN.md
+§16), in two parts with different lifetimes:
 
-:class:`SnapshotScorer` is the executable form: a parser rebuilt
-around the compiled matchers (:meth:`FuzzyParser.from_compiled`) plus
-the frozen kernel, scoring batches through the same
-parse-cached/distinct-memo path as ``FuzzyPSM.probability_many`` — so
-served scores are bit-identical to direct per-call
-``FuzzyPSM.probability`` (asserted black-box by
-``tests/test_serve_http.py``).
+* the **matchers** — :meth:`ServingSnapshot.publish_matchers` — are
+  published once per worker pool: ``/accept`` only changes grammar
+  counts, so every epoch of one model shares the same compiled tries;
+* the **grammar** — :meth:`ServingSnapshot.publish_grammar` — is
+  published once per epoch, and a hot reload replaces only it.
+
+:class:`SnapshotScorer` is the executable form: a parser around the
+compiled matchers (:meth:`FuzzyParser.from_compiled`; a worker keeps
+one, parse cache included, for its whole life) plus one epoch's frozen
+kernel, scoring batches through the same parse-cached/distinct-memo
+path as ``FuzzyPSM.probability_many`` — so served scores are
+bit-identical to direct per-call ``FuzzyPSM.probability`` (asserted
+black-box by ``tests/test_serve_http.py``).
 """
 
 from __future__ import annotations
@@ -29,15 +32,15 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.core.compiled_trie import CompiledTrie
 from repro.core.frozen import FrozenGrammar
 from repro.core.parser import FuzzyParser
-from repro.core.shm import SharedScoringSegment, _worker_attach_state
+from repro.core.shm import SharedScoringSegment
 
 
 class ServingSnapshot:
     """Everything a scoring worker needs, frozen at one grammar epoch.
 
     Holds only compiled flat-array state (trie snapshots, the frozen
-    grammar, parser flags) — exactly what :meth:`publish` lays out in
-    a shared segment and :meth:`from_segment` reattaches, so every
+    grammar, parser flags) — exactly what :meth:`publish_matchers` and
+    :meth:`publish_grammar` lay out in shared segments, so every
     worker scores against the same physical bytes.
     """
 
@@ -90,13 +93,20 @@ class ServingSnapshot:
             frozen=frozen,
         )
 
-    def publish(self) -> SharedScoringSegment:
-        """Pack this snapshot into a fresh shared-memory segment.
+    def same_matchers(self, other: "ServingSnapshot") -> bool:
+        """True when ``other`` parses with this snapshot's matchers."""
+        return (
+            other.forward is self.forward
+            and other.reversed_matcher is self.reversed_matcher
+            and other.flags == self.flags
+        )
+
+    def publish_matchers(self) -> SharedScoringSegment:
+        """Pack the compiled matchers into a trie-only segment.
 
         The caller (the worker pool) owns the segment and must
-        ``unlink`` it when the epoch is retired; workers attach by
-        name via :meth:`from_segment` in milliseconds, regardless of
-        start method.
+        ``unlink`` it; workers attach it once by name, regardless of
+        start method, and build their parser over it.
         """
         return SharedScoringSegment.create(
             epoch=self.epoch,
@@ -105,38 +115,37 @@ class ServingSnapshot:
             flags=self.flags,
             parse_cache_size=self.parse_cache_size,
             reversed_matcher=self.reversed_matcher,
+        )
+
+    def publish_grammar(self) -> SharedScoringSegment:
+        """Pack this epoch's frozen grammar into a grammar-only segment
+        (owned, and unlinked on retirement, by the caller)."""
+        return SharedScoringSegment.create(
+            epoch=self.epoch,
+            forward=None,
+            min_length=self.min_length,
+            flags=self.flags,
+            parse_cache_size=self.parse_cache_size,
             frozen=self.frozen,
         )
 
-    @classmethod
-    def from_segment(cls, name: str) -> "ServingSnapshot":
-        """Attach the named segment and wrap it as a snapshot.
+    def build_scorer(
+        self, parser: Optional[FuzzyParser] = None
+    ) -> "SnapshotScorer":
+        """An executable scorer over this snapshot.
 
-        Zero-copy: the trie and grammar columns are views into the
-        shared mapping (through the per-process attach cache, so
-        re-attaching the same epoch is free and attaching a new one
-        detaches the old).  Serving segments always carry a grammar;
-        trie-only training segments are rejected.
+        Pass the ``parser`` of a previous epoch's scorer (built over
+        the same matchers) to keep its parse cache warm.
         """
-        state = _worker_attach_state(name)
-        if state.frozen is None:
-            raise ValueError(
-                f"segment {name!r} carries no grammar tables "
-                "(trie-only training segment?)"
+        if parser is None:
+            parser = FuzzyParser.from_compiled(
+                self.forward,
+                self.reversed_matcher,
+                self.min_length,
+                self.flags,
+                parse_cache_size=self.parse_cache_size,
             )
-        return cls(
-            epoch=state.epoch,
-            forward=state.forward,
-            reversed_matcher=state.reversed_matcher,
-            min_length=state.min_length,
-            flags=state.flags,
-            parse_cache_size=state.parse_cache_size,
-            frozen=state.frozen,
-        )
-
-    def build_scorer(self) -> "SnapshotScorer":
-        """An executable scorer over this snapshot (one per process)."""
-        return SnapshotScorer(self)
+        return SnapshotScorer(self.epoch, parser, self.frozen)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -146,31 +155,28 @@ class ServingSnapshot:
 
 
 class SnapshotScorer:
-    """Batch scorer over one :class:`ServingSnapshot`.
+    """Batch scorer: one parser plus one epoch's frozen grammar.
 
     Mirrors the serial fast path of ``FuzzyPSM.probability_many``:
     parses through the LRU parse cache, memoises per distinct password
     within the batch, and evaluates derivations against the frozen
     kernel — the blessed batch configuration (ROADMAP item 5), never
-    the per-call dict-table loop.
+    the per-call dict-table loop.  Parses depend only on the matchers,
+    so one parser (and its cache) serves every epoch of a model.
     """
 
-    __slots__ = ("epoch", "_parser", "_frozen")
+    __slots__ = ("epoch", "parser", "_frozen")
 
-    def __init__(self, snapshot: ServingSnapshot) -> None:
-        self.epoch = snapshot.epoch
-        self._parser = FuzzyParser.from_compiled(
-            snapshot.forward,
-            snapshot.reversed_matcher,
-            snapshot.min_length,
-            snapshot.flags,
-            parse_cache_size=snapshot.parse_cache_size,
-        )
-        self._frozen = snapshot.frozen
+    def __init__(
+        self, epoch: int, parser: FuzzyParser, frozen: FrozenGrammar
+    ) -> None:
+        self.epoch = epoch
+        self.parser = parser
+        self._frozen = frozen
 
     def score_many(self, passwords: Sequence[str]) -> List[float]:
         """One probability per input, bit-identical to per-call scores."""
-        parse = self._parser.parse_cached
+        parse = self.parser.parse_cached
         score = self._frozen.derivation_probability
         memo: Dict[str, float] = {}
         out: List[float] = []

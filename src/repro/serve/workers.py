@@ -2,23 +2,26 @@
 
 Each worker is a long-lived ``multiprocessing.Process`` connected to
 the server by one duplex pipe.  Workers never receive model state by
-value: the pool publishes its :class:`ServingSnapshot` into one
-shared-memory segment (DESIGN.md §16) and hands each worker the
-segment *name* — attach is a millisecond ``mmap``, identical under
-the fork and spawn start methods (:func:`repro.core.shm.mp_context`),
-and request traffic carries only password lists and score lists.  A
-hot reload publishes the new epoch's segment, ships its name down the
-pipe exactly once per worker, then unlinks the retired segment;
-because the pipe is FIFO and each worker handles one message at a
-time, every batch already queued ahead of the swap finishes on the
-old mapping (which stays valid until the worker reattaches).
+value: the pool publishes its :class:`ServingSnapshot` into two
+shared-memory segments (DESIGN.md §16) and hands each worker their
+*names* — attach is a millisecond ``mmap``, identical under the fork
+and spawn start methods (:func:`repro.core.shm.mp_context`), and
+request traffic carries only password lists and score lists.  The
+*matcher* segment is published once per pool, and each worker builds
+one parser over it for its whole life, parse cache included.  The
+*grammar* segment is published once per epoch: a hot reload ships the
+new name down the pipe exactly once per worker, then unlinks the
+retired segment; because the pipe is FIFO and each worker handles one
+message at a time, every batch queued ahead of the swap finishes on
+the old mapping.
 
 Crash handling is the pool's job, not the caller's: a batch sent to a
 worker that died (killed, OOM, segfault) surfaces as a pipe error, the
-pool marks the worker dead, respawns it attached to the *current*
-segment, and redispatches the batch to a surviving worker — falling
-back to scoring inline in the server process when every worker is down
-— so no request is ever dropped on a worker failure.
+pool marks the worker dead, respawns it attached to the matcher
+segment and the *current* grammar segment, and redispatches the batch
+to a surviving worker — falling back to scoring inline in the server
+process when every worker is down — so no request is ever dropped on
+a worker failure.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import threading
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro import obs
+from repro.core.frozen import FrozenGrammar
 from repro.core.shm import SharedScoringSegment, mp_context
 from repro.obs.core import Telemetry, now as _now
 from repro.serve.snapshot import ServingSnapshot, SnapshotScorer
@@ -41,24 +45,70 @@ class WorkerCrash(RuntimeError):
     """A worker died (or wedged) under a request; the pool retries."""
 
 
-def _serve_worker_main(connection: Any, segment_name: str) -> None:
+def _attach_grammar(
+    name: str,
+) -> Tuple[SharedScoringSegment, FrozenGrammar]:
+    segment = SharedScoringSegment.attach(name)
+    frozen = segment.materialize().frozen
+    if frozen is None:
+        raise ValueError(f"segment {name!r} carries no grammar tables")
+    return segment, frozen
+
+
+class _WorkerScoring:
+    """A worker's scoring state: one parser (and parse cache) for
+    life, one epoch's grammar segment at a time."""
+
+    __slots__ = ("_matchers", "_grammar", "scorer")
+
+    def __init__(self, matcher_name: str, grammar_name: str) -> None:
+        self._matchers = SharedScoringSegment.attach(matcher_name)
+        self._grammar, frozen = _attach_grammar(grammar_name)
+        self.scorer = SnapshotScorer(
+            self._grammar.epoch,
+            self._matchers.materialize().build_parser(),
+            frozen,
+        )
+
+    def swap(self, grammar_name: str) -> int:
+        """Adopt the epoch in grammar segment ``grammar_name``.
+
+        The old scorer goes first: its frozen grammar holds the only
+        views into the retired mapping, so the close that follows
+        succeeds at once (no ``shm.segment.close_deferred``).
+        """
+        parser = self.scorer.parser
+        del self.scorer
+        retired = self._grammar
+        self._grammar, frozen = _attach_grammar(grammar_name)
+        self.scorer = SnapshotScorer(self._grammar.epoch, parser, frozen)
+        retired.close()
+        return self.scorer.epoch
+
+    def close(self) -> None:
+        """Drop every view, then detach both mappings."""
+        del self.scorer
+        self._grammar.close()
+        self._matchers.close()
+
+
+def _serve_worker_main(
+    connection: Any, matcher_name: str, grammar_name: str
+) -> None:
     """Worker process entrypoint: score batches until told to stop.
 
-    Scoring state comes from attaching ``segment_name`` (zero-copy,
-    through the per-process attach cache in :mod:`repro.core.shm` —
-    the only module global touched, and one blessed for worker use by
-    fork-safety rule FPM012).  Messages are ``(kind, ...)`` tuples:
+    Scoring state comes from attaching the pool's two segments
+    (zero-copy; no module global is touched).  Messages are
+    ``(kind, ...)`` tuples:
 
     * ``("score", [pw, ...])`` → ``("scored", epoch, [p, ...], secs)``;
     * ``("swap", name)``       → ``("swapped", epoch)`` — attaches the
-      new epoch's segment and rebuilds the scorer; in-flight batches
-      queued earlier already drained on the old mapping;
+      new epoch's grammar segment under the same parser; in-flight
+      batches queued earlier already drained on the old mapping;
     * ``("ping",)``            → ``("pong", epoch)``;
     * ``("stop",)``            → ``("stopped",)`` and exit.
     """
-    scorer: SnapshotScorer = (
-        ServingSnapshot.from_segment(segment_name).build_scorer()
-    )
+    state = _WorkerScoring(matcher_name, grammar_name)
     while True:
         try:
             message = connection.recv()
@@ -67,20 +117,18 @@ def _serve_worker_main(connection: Any, segment_name: str) -> None:
         kind = message[0]
         if kind == "score":
             start = _now()
-            scores = scorer.score_many(message[1])
+            scores = state.scorer.score_many(message[1])
             connection.send(
-                ("scored", scorer.epoch, scores, _now() - start)
+                ("scored", state.scorer.epoch, scores, _now() - start)
             )
         elif kind == "swap":
-            scorer = (
-                ServingSnapshot.from_segment(message[1]).build_scorer()
-            )
-            connection.send(("swapped", scorer.epoch))
+            connection.send(("swapped", state.swap(message[1])))
         elif kind == "ping":
-            connection.send(("pong", scorer.epoch))
+            connection.send(("pong", state.scorer.epoch))
         elif kind == "stop":
             connection.send(("stopped",))
             break
+    state.close()
     connection.close()
 
 
@@ -89,11 +137,12 @@ class _WorkerHandle:
 
     __slots__ = ("process", "connection", "lock", "dead")
 
-    def __init__(self, segment_name: str) -> None:
+    def __init__(self, matcher_name: str, grammar_name: str) -> None:
         context = mp_context()
         parent, child = context.Pipe()
         self.process = context.Process(
-            target=_serve_worker_main, args=(child, segment_name),
+            target=_serve_worker_main,
+            args=(child, matcher_name, grammar_name),
             daemon=True,
         )
         self.process.start()
@@ -156,12 +205,13 @@ class WorkerPool:
     """A fixed-size pool of warm workers with supervised respawn.
 
     All methods are blocking (the async server calls them through an
-    executor).  The pool owns one *current* shared segment (published
-    from the snapshot it was built or last swapped with): spawns and
-    respawns attach to it by name, :meth:`swap` publishes the new
-    epoch's segment, broadcasts its name to the live workers and
-    unlinks the retired one.  :meth:`stop` unlinks the current
-    segment, so a stopped pool leaves nothing in ``/dev/shm``.
+    executor).  The pool owns two shared segments: the matcher segment,
+    published once from the snapshot it was built with, and the
+    *current* grammar segment.  Spawns and respawns attach to both by
+    name; :meth:`swap` publishes the new epoch's grammar segment,
+    broadcasts its name to the live workers and unlinks the retired
+    one.  :meth:`stop` unlinks both, so a stopped pool leaves nothing
+    in ``/dev/shm``.
     """
 
     def __init__(
@@ -173,10 +223,11 @@ class WorkerPool:
         if size < 1:
             raise ValueError(f"worker pool size must be >= 1, got {size}")
         self._snapshot = snapshot
-        self._segment: SharedScoringSegment = snapshot.publish()
+        self._matchers = snapshot.publish_matchers()
+        self._grammar = snapshot.publish_grammar()
         self._telemetry = telemetry if telemetry is not None else obs.get()
         self._handles: List[_WorkerHandle] = [
-            _WorkerHandle(self._segment.name) for _ in range(size)
+            self._spawn() for _ in range(size)
         ]
         self._round_robin = 0
         self._respawn_lock = threading.Lock()
@@ -194,9 +245,10 @@ class WorkerPool:
         return self._snapshot.epoch
 
     @property
-    def segment_name(self) -> str:
-        """Name of the current shared segment (for tests/operators)."""
-        return self._segment.name
+    def segment_names(self) -> Tuple[str, str]:
+        """``(matcher, current grammar)`` segment names (for
+        tests/operators)."""
+        return self._matchers.name, self._grammar.name
 
     def statuses(self) -> List[Dict[str, Any]]:
         """Liveness of every worker, for ``/healthz``."""
@@ -250,14 +302,20 @@ class WorkerPool:
         return None
 
     def _fallback_scorer(self) -> SnapshotScorer:
-        """In-process scorer over the current snapshot (last resort)."""
+        """In-process scorer over the current snapshot (last resort);
+        its parser, like a worker's, carries over across epochs."""
         scorer = self._fallback
         if scorer is None or scorer.epoch != self._snapshot.epoch:
-            scorer = self._snapshot.build_scorer()
+            scorer = self._snapshot.build_scorer(
+                None if scorer is None else scorer.parser
+            )
             self._fallback = scorer
         return scorer
 
     # --- lifecycle -----------------------------------------------------
+
+    def _spawn(self) -> _WorkerHandle:
+        return _WorkerHandle(self._matchers.name, self._grammar.name)
 
     def respawn_dead(self) -> int:
         """Replace every dead worker with one seeded from the current
@@ -268,29 +326,36 @@ class WorkerPool:
                 if handle.alive():
                     continue
                 handle.stop()
-                self._handles[index] = _WorkerHandle(self._segment.name)
+                self._handles[index] = self._spawn()
                 replaced += 1
             if replaced:
                 self._telemetry.incr("serve.worker.respawns", replaced)
             return replaced
 
     def swap(self, snapshot: ServingSnapshot) -> None:
-        """Atomically adopt ``snapshot`` and broadcast it to workers.
+        """Atomically adopt ``snapshot``'s grammar and broadcast it.
 
-        The new epoch's segment is published and adopted first, so any
-        respawn from here on attaches the new epoch; each live worker
-        then receives the segment name once.  Workers that die during
-        the broadcast are respawned — already attached to the new
-        segment.  The retired segment is unlinked last: mappings in
-        workers still draining queued batches stay valid, only the
-        name disappears.
+        Only the grammar changes: a snapshot compiled from other
+        matchers raises ``ValueError`` (serve a new model from a new
+        pool).  The new epoch's grammar segment is published and
+        adopted first, so any respawn from here on attaches the new
+        epoch; each live worker then receives the segment name once.
+        Workers that die during the broadcast are respawned — already
+        attached to the new segment.  The retired segment is unlinked
+        last: mappings in workers still draining queued batches stay
+        valid, only the name disappears.
         """
-        retired = self._segment
-        self._segment = snapshot.publish()
+        if not self._snapshot.same_matchers(snapshot):
+            raise ValueError(
+                "snapshot was compiled from other matchers than this "
+                "pool's; a new model needs a new WorkerPool"
+            )
+        retired = self._grammar
+        self._grammar = snapshot.publish_grammar()
         self._snapshot = snapshot
         for handle in list(self._handles):
             try:
-                handle.request(("swap", self._segment.name))
+                handle.request(("swap", self._grammar.name))
             except WorkerCrash:
                 self._telemetry.incr("serve.worker.crashes")
                 self.respawn_dead()
@@ -299,4 +364,5 @@ class WorkerPool:
     def stop(self) -> None:
         for handle in self._handles:
             handle.stop()
-        self._segment.unlink()
+        self._grammar.unlink()
+        self._matchers.unlink()

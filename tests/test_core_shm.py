@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -149,6 +151,94 @@ class TestSegmentRoundTrip:
             ).to_derivation()
         finally:
             segment.unlink()
+
+    def test_grammar_only_segment_has_no_matchers(self):
+        meter = _train()
+        segment = SharedScoringSegment.create(
+            epoch=meter.grammar.epoch,
+            forward=None,
+            min_length=meter.trie.min_length,
+            flags=meter._parser.flags,
+            parse_cache_size=256,
+            frozen=meter.frozen_grammar(),
+        )
+        try:
+            state = segment.materialize()
+            assert state.forward is None
+            assert state.reversed_matcher is None
+            assert state.frozen is not None
+            assert state.epoch == meter.grammar.epoch
+            with pytest.raises(ValueError, match="matcher"):
+                state.build_parser()
+            derivation = meter.parse("password123").to_derivation()
+            assert state.frozen.derivation_probability(derivation) \
+                == meter.probability("password123")
+            del state
+        finally:
+            segment.unlink()
+
+
+#: A pool that swaps three times and stops, run in a fresh interpreter
+#: so the resource tracker's complaints (printed to the child's stderr
+#: by the tracker process) can be captured whole.
+_SWAPPING_POOL = """
+from repro.serve import ServingSnapshot, WorkerPool
+from tests.serve_utils import train_serve_meter
+
+if __name__ == "__main__":
+    meter = train_serve_meter()
+    pool = WorkerPool(ServingSnapshot.from_meter(meter), 1)
+    for step in range(3):
+        meter.update(f"zebra{step}!", 5)
+        pool.swap(ServingSnapshot.from_meter(meter))
+        epoch, scores, _ = pool.score(["password123"])
+        assert scores == [meter.probability("password123")], step
+    pool.stop()
+"""
+
+#: An unrelated process (not a multiprocessing child, so it has a
+#: resource tracker of its own) attaching a segment by name.
+_FOREIGN_READER = """
+import sys
+from repro.core.shm import SharedScoringSegment
+
+reader = SharedScoringSegment.attach(sys.argv[1])
+assert reader.materialize().frozen is not None
+reader.close()
+"""
+
+
+def _run_child(script: str, *args: str, **env: str) -> str:
+    """Run ``script`` in a fresh interpreter; return its stderr."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    child_env = dict(os.environ, **env)
+    child_env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(root, "src"), root]
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script, *args], cwd=root, env=child_env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stderr
+
+
+class TestResourceTracker:
+    @pytest.mark.parametrize("method", START_METHODS)
+    def test_swapping_pool_leaves_stderr_empty(self, method):
+        stderr = _run_child(_SWAPPING_POOL, **{START_METHOD_ENV: method})
+        assert stderr == ""
+
+    def test_foreign_reader_never_unlinks_the_segment(self):
+        meter = _train()
+        segment = meter.shared_segment()
+        stderr = _run_child(_FOREIGN_READER, segment.name)
+        assert stderr == ""
+        # The reader's own tracker exited with it and left the name be.
+        reader = SharedScoringSegment.attach(segment.name)
+        reader.close()
+        meter._shared_segment = None
+        segment.unlink()
 
 
 class TestLifetime:

@@ -10,18 +10,27 @@ Two lifecycle guarantees under test, both black-box:
 * **Worker faults**: SIGKILLing a scoring worker never loses a
   request (the pool redispatches/respawns), and ``/healthz`` reflects
   the degraded → healthy transition.
+
+The last section drives :class:`~repro.serve.WorkerPool` directly:
+its two shared segments (matchers once per pool, grammar once per
+epoch), bit-identity across consecutive swaps under every start
+method, and a worker killed between swaps.
 """
 
 from __future__ import annotations
 
 import asyncio
+import multiprocessing
 import os
 import signal
 
 import pytest
 
+from repro import obs
 from repro.core.meter import FuzzyPSM
-from repro.serve import ServeConfig
+from repro.core.shm import SEGMENT_PREFIX, START_METHOD_ENV
+from repro.serve import ServeConfig, ServingSnapshot, WorkerPool
+from repro.serve.workers import _WorkerScoring
 
 from tests.serve_utils import (
     ServeClient,
@@ -271,3 +280,151 @@ def test_worker_mode_requires_parallel_scorable_capability():
 
     with pytest.raises(ValueError, match="parallel-scorable"):
         ReproServer(NISTMeter(), ServeConfig(workers=1))
+
+
+# --- WorkerPool: matcher segment once, grammar segment per epoch -------
+
+START_METHODS = [
+    method for method in ("fork", "spawn")
+    if method in multiprocessing.get_all_start_methods()
+]
+
+#: Fixed probes scored after every swap: base words, composites,
+#: transformed and unseen strings, and the passwords being accepted.
+PROBES = TRAFFIC + ["p@ssw0rd", "PASSWORD", "Zx9#kk", "pässword", "",
+                    "zebra0!", "zebra2!"]
+
+#: Consecutive swaps the differentials walk through.
+SWAPS = 4
+
+
+def _pool_segments() -> set:
+    if not os.path.isdir("/dev/shm"):  # pragma: no cover - non-Linux
+        return set()
+    return {name for name in os.listdir("/dev/shm")
+            if name.startswith(SEGMENT_PREFIX)}
+
+
+def _snapshot(meter: FuzzyPSM) -> ServingSnapshot:
+    return ServingSnapshot.from_meter(meter)
+
+
+def _accept(served: FuzzyPSM, replica: FuzzyPSM, step: int) -> None:
+    """One online update, applied to the served meter and its replica."""
+    served.update(f"zebra{step}!", 10 + step)
+    replica.update(f"zebra{step}!", 10 + step)
+
+
+@pytest.mark.parametrize("method", START_METHODS)
+def test_pool_swaps_stay_bit_identical_to_a_replica(method, monkeypatch):
+    monkeypatch.setenv(START_METHOD_ENV, method)
+    served = train_serve_meter()
+    replica = train_serve_meter()
+    pool = WorkerPool(_snapshot(served), 1)
+    try:
+        for step in range(SWAPS + 1):
+            if step:
+                _accept(served, replica, step - 1)
+                pool.swap(_snapshot(served))
+            epoch, scores, _ = pool.score(PROBES)
+            assert epoch == replica.grammar.epoch
+            assert scores == [replica.probability(pw) for pw in PROBES]
+    finally:
+        pool.stop()
+
+
+def test_swap_rejects_a_snapshot_with_other_matchers():
+    served = train_serve_meter()
+    other = FuzzyPSM.train(["dragon", "monkey", "sunshine"],
+                           ["dragon1", "monkey99"])
+    pool = WorkerPool(_snapshot(served), 1)
+    try:
+        with pytest.raises(ValueError, match="matchers"):
+            pool.swap(_snapshot(other))
+        # The rejected swap left the pool serving its own epoch.
+        epoch, scores, _ = pool.score(["password123"])
+        assert epoch == served.grammar.epoch
+        assert scores == [_clone(served).probability("password123")]
+    finally:
+        pool.stop()
+
+
+def test_live_pool_owns_one_matcher_and_one_grammar_segment():
+    served = train_serve_meter()
+    before = _pool_segments()
+    pool = WorkerPool(_snapshot(served), 1)
+    try:
+        matcher_name, grammar_name = pool.segment_names
+        assert _pool_segments() - before == {matcher_name, grammar_name}
+        served.update("zebra42!", 5)
+        pool.swap(_snapshot(served))
+        # Same matcher segment, a new grammar segment, the old unlinked.
+        assert pool.segment_names[0] == matcher_name
+        assert pool.segment_names[1] != grammar_name
+        assert _pool_segments() - before == set(pool.segment_names)
+    finally:
+        pool.stop()
+    assert _pool_segments() - before == set()
+
+
+def test_worker_killed_between_swaps_respawns_on_the_current_epoch():
+    served = train_serve_meter()
+    replica = train_serve_meter()
+    pool = WorkerPool(_snapshot(served), 1)
+    try:
+        _accept(served, replica, 0)
+        pool.swap(_snapshot(served))
+        victim = pool._handles[0].process
+        os.kill(victim.pid, signal.SIGKILL)
+        victim.join(timeout=15.0)
+        assert not victim.is_alive()
+
+        # The batch that finds the corpse is redispatched to a respawn,
+        # attached to the matcher segment and the *current* grammar.
+        epoch, scores, _ = pool.score(PROBES)
+        assert pool._handles[0].pid != victim.pid
+        assert epoch == replica.grammar.epoch
+        assert scores == [replica.probability(pw) for pw in PROBES]
+
+        # The respawned worker keeps swapping like the original.
+        _accept(served, replica, 1)
+        pool.swap(_snapshot(served))
+        epoch, scores, _ = pool.score(PROBES)
+        assert epoch == replica.grammar.epoch
+        assert scores == [replica.probability(pw) for pw in PROBES]
+    finally:
+        pool.stop()
+
+
+def test_worker_swap_step_closes_the_retired_grammar_at_once():
+    """The worker-side swap, in-process: one parser (and parse cache)
+    across epochs, and every retired mapping closes without taking the
+    deferred-close fallback."""
+    served = train_serve_meter()
+    replica = train_serve_meter()
+    snapshot = _snapshot(served)
+    matchers = snapshot.publish_matchers()
+    grammar = snapshot.publish_grammar()
+    with obs.session() as telemetry:
+        state = _WorkerScoring(matchers.name, grammar.name)
+        parser = state.scorer.parser
+        try:
+            for step in range(SWAPS):
+                state.scorer.score_many(PROBES)
+                _accept(served, replica, step)
+                retired = grammar
+                grammar = _snapshot(served).publish_grammar()
+                assert state.swap(grammar.name) == replica.grammar.epoch
+                retired.unlink()
+                assert state.scorer.parser is parser
+                assert state.scorer.score_many(PROBES) == [
+                    replica.probability(pw) for pw in PROBES
+                ]
+            # Post-swap scoring hit the parses cached before the swap.
+            assert telemetry.counter("parser.cache.hit") > 0
+            del parser  # a view into the matcher mapping
+        finally:
+            state.close()
+            grammar.unlink()
+            matchers.unlink()
+        assert telemetry.counter("shm.segment.close_deferred") == 0

@@ -4,7 +4,8 @@ The serving test suites exercise :class:`repro.serve.ReproServer`
 in-process; this script covers the one seam they cannot — the CLI
 entry point itself: model loading from disk, ephemeral-port binding,
 the startup banner, every endpoint over a real socket from a separate
-process, and a clean SIGTERM shutdown.  Used by ``make serve-smoke``
+process, and a clean SIGTERM shutdown (no ``Traceback`` anywhere in the
+server's output, resource tracker included).  Used by ``make serve-smoke``
 and the CI serving job.
 
 Exit status 0 on success; any failure prints a diagnostic and exits
@@ -135,10 +136,18 @@ def main() -> int:
                 except subprocess.TimeoutExpired:
                     _fail("server ignored SIGTERM", process)
 
+        output = process.stdout.read()
         if process.returncode != 0:
             print(f"serve-smoke FAILED: exit {process.returncode}",
                   file=sys.stderr)
-            print(process.stdout.read(), file=sys.stderr)
+            print(output, file=sys.stderr)
+            return 1
+        if "Traceback" in output:
+            # The server (or its resource tracker) must survive the
+            # /accept hot swap and SIGTERM without printing one.
+            print("serve-smoke FAILED: traceback in server output",
+                  file=sys.stderr)
+            print(output, file=sys.stderr)
             return 1
     print(f"serve-smoke OK in {now() - started:.1f}s")
     return 0
