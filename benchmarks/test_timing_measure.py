@@ -11,8 +11,8 @@ The paper reports, on a 3.60 GHz i7 PC:
 These benches time the same operations on the bench corpus and assert
 only the order-of-magnitude budgets (absolute hardware differs).
 
-The performance-layer benches (compiled vs pointer trie, bulk vs
-per-call measuring, serial vs parallel training) additionally persist
+The performance-layer benches (bulk vs per-call measuring, serial vs
+parallel training, telemetry overhead) additionally persist
 their numbers to ``BENCH_timing.json`` at the repo root via
 :func:`bench_lib.record`, so the perf trajectory is tracked across PRs.
 """
@@ -23,7 +23,6 @@ import time
 import pytest
 
 from repro.core.meter import FuzzyPSM
-from repro.core.parser import FuzzyParser
 from repro.core.training import train_grammar
 from repro.metrics.guessnumber import MonteCarloEstimator
 
@@ -96,10 +95,10 @@ def test_timing_update_phase(benchmark, meter, capsys):
     passwords = ["brandnew1", "Password2026", "qwerty!99"]
     index = iter(range(10 ** 9))
 
-    def accept_one():
-        meter.accept(passwords[next(index) % len(passwords)])
+    def update_one():
+        meter.update(passwords[next(index) % len(passwords)])
 
-    benchmark(accept_one)
+    benchmark(update_one)
     mean_seconds = benchmark.stats["mean"]
     emit(capsys, f"(timing) one update: {mean_seconds * 1e6:.1f} us")
     # The update phase must stay interactive (well under measuring).
@@ -126,7 +125,7 @@ def test_timing_monte_carlo_estimation(benchmark, meter, capsys):
     assert SMOKE or mean_seconds < 0.001
 
 
-# --- performance layer (compiled trie / batch / parallel) -----------------
+# --- performance layer (batch / parallel / telemetry) ---------------------
 
 
 def test_timing_bulk_vs_single_measuring(meter, csdn_quarters, capsys):
@@ -168,46 +167,6 @@ def test_timing_bulk_vs_single_measuring(meter, csdn_quarters, capsys):
            distinct=distinct, single_seconds=single_seconds,
            bulk_seconds=bulk_seconds, speedup=speedup)
     assert SMOKE or speedup >= 2.0
-
-
-def test_timing_compiled_vs_pointer_parse(meter, csdn_quarters, capsys):
-    """Full-parse wall time: compiled flat-array trie vs pointer trie.
-
-    Caches are disabled so this isolates the matcher itself.  The two
-    parsers must produce identical parses; the ratio is recorded for
-    the cross-PR trajectory (the compiled trie's main wins are memory
-    footprint and worker startup, not single-thread parse speed).
-    """
-    _, test = csdn_quarters
-    probes = test.unique_passwords()
-    pointer_parser = FuzzyParser(meter.trie, use_compiled=False,
-                                 parse_cache_size=0)
-    compiled_parser = FuzzyParser(meter.trie, use_compiled=True,
-                                  parse_cache_size=0)
-    compiled_parser.parse("warmup")  # build the compiled snapshot
-
-    def best_of_three(parser):
-        timings = []
-        for _ in range(3):
-            start = time.perf_counter()
-            parses = [parser.parse(pw) for pw in probes]
-            timings.append(time.perf_counter() - start)
-        return parses, min(timings)
-
-    pointer_parses, pointer_seconds = best_of_three(pointer_parser)
-    compiled_parses, compiled_seconds = best_of_three(compiled_parser)
-
-    assert compiled_parses == pointer_parses
-    ratio = pointer_seconds / compiled_seconds
-    emit(
-        capsys,
-        f"(timing) parse {len(probes):,} unique passwords -- pointer "
-        f"{pointer_seconds:.2f} s, compiled {compiled_seconds:.2f} s "
-        f"({ratio:.2f}x)",
-    )
-    record("parse_compiled_vs_pointer", probes=len(probes),
-           pointer_seconds=pointer_seconds,
-           compiled_seconds=compiled_seconds, ratio=ratio)
 
 
 def test_timing_parallel_training(meter, csdn_quarters, capsys):

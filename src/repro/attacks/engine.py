@@ -772,12 +772,12 @@ class AttackEngine:
     ) -> List[Tuple[float, bool, bool, bool, str]]:
         """Case/reverse head options for one base, descending.
 
-        Mirrors the enumeration gates of the legacy
-        ``FuzzyPSM._case_reverse_factor`` — only variants the canonical
-        parse can report are emitted, so enumerated and measured
-        probabilities agree — but reads the frozen pairs and computes
-        the head factor in kernel order (terminal, capitalization,
-        reverse, all-caps).  Zero-probability options are pruned, which
+        Mirrors the enumeration gates of the pre-engine reference
+        enumerator (``case_reverse_factor`` in ``tests/oracles.py``) —
+        only variants the canonical parse can report are emitted, so
+        enumerated and measured probabilities agree — but reads the
+        frozen pairs and computes the head factor in kernel order
+        (terminal, capitalization, reverse, all-caps).  Zero-probability options are pruned, which
         is the blessed-kernel short-circuit.  Each option carries its
         precomputed toggle-free surface.
         """

@@ -64,6 +64,25 @@ from repro.serve import ReproServer, ServeConfig, SnapshotRegistry
 from repro.survey.analysis import survey_report
 
 
+def _non_negative_int(text: str) -> int:
+    """argparse ``type`` for counts where 0 means "default/serial".
+
+    A negative value is a usage error: argparse prints
+    ``error: argument --flag: ...`` and exits with status 2.
+    """
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}"
+        ) from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be non-negative, got {value}"
+        )
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -119,17 +138,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="enable whole-word capitalization (fuzzyPSM)",
     )
     train.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
+        "--jobs", type=_non_negative_int, default=None, metavar="N",
         help="parse the training corpus across N worker processes; "
              "count tables are merged exactly (fuzzyPSM)",
     )
     train.add_argument(
-        "--no-compile", action="store_true",
-        help="walk the pointer trie instead of the compiled "
-             "flat-array trie (fuzzyPSM escape hatch)",
-    )
-    train.add_argument(
-        "--parse-cache-size", type=int, default=None, metavar="N",
+        "--parse-cache-size", type=_non_negative_int, default=None,
+        metavar="N",
         help="capacity of the LRU parse cache used for bulk scoring "
              "(fuzzyPSM; default 65536)",
     )
@@ -153,7 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     measure.add_argument("--model", required=True)
     measure.add_argument(
-        "--score-jobs", type=int, default=None, metavar="N",
+        "--score-jobs", type=_non_negative_int, default=None,
+        metavar="N",
         help="score across N worker processes (parallel-scorable "
              "meters; results are identical to serial scoring)",
     )
@@ -188,7 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("--seed", type=int, default=0)
     experiment.add_argument("--min-frequency", type=int, default=4)
     experiment.add_argument(
-        "--score-jobs", type=int, default=None, metavar="N",
+        "--score-jobs", type=_non_negative_int, default=None,
+        metavar="N",
         help="bulk-score across N worker processes for meters with "
              "the parallel-scorable capability",
     )
@@ -356,15 +373,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="score the stream N times (exercises the parse cache)",
     )
     profile.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
+        "--jobs", type=_non_negative_int, default=None, metavar="N",
         help="worker processes for the training stage",
     )
     profile.add_argument(
-        "--score-jobs", type=int, default=None, metavar="N",
+        "--score-jobs", type=_non_negative_int, default=None,
+        metavar="N",
         help="worker processes for the scoring stage",
     )
     profile.add_argument(
-        "--parse-cache-size", type=int, default=None, metavar="N",
+        "--parse-cache-size", type=_non_negative_int, default=None,
+        metavar="N",
         help="capacity of the LRU parse cache (telemetry mode)",
     )
     profile.add_argument(
@@ -508,7 +527,6 @@ def _fuzzy_config(args: argparse.Namespace):
     fuzzy_options = {
         "allow_reverse": args.allow_reverse,
         "allow_allcaps": args.allow_allcaps,
-        "use_compiled_trie": not args.no_compile,
     }
     if args.parse_cache_size is not None:
         fuzzy_options["parse_cache_size"] = args.parse_cache_size

@@ -32,14 +32,13 @@ compiles to a handful of flat buffers plus one shared index, which
 also makes the compiled trie cheap to pickle into ``multiprocessing``
 workers.
 
-``longest_fuzzy_match`` is non-recursive: it sweeps the password left
-to right, carrying a frontier of live trie states.  Each observed
-character expands a state into at most three successors (exact match,
-first-letter capitalization, leet toggle), exactly mirroring the
-pointer trie's branching rules, and terminal states are harvested per
-level so the preference order (longest, then fewest transformations,
-then lexicographic base) is identical to
-:meth:`PrefixTrie.longest_fuzzy_match`.
+``longest_fuzzy_match`` — the parser's only matcher — is
+non-recursive: an explicit-stack DFS over the packed transition index.
+Each observed character expands a state into at most three successors
+(exact match, first-letter capitalization, leet toggle), and the
+preference order is longest, then fewest transformations, then
+lexicographic base.  The differential tests pin it against a reference
+DFS over the pointer trie's nodes (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -65,8 +64,8 @@ _TOGGLE_ORD: Dict[str, int] = {ch: ord(p) for ch, p in _TOGGLE.items()}
 
 
 class CompiledTrie:
-    """Immutable, flat-array trie answering the same queries as
-    :class:`~repro.core.trie.PrefixTrie`.
+    """Immutable, flat-array snapshot of a
+    :class:`~repro.core.trie.PrefixTrie`, answering fuzzy prefix queries.
 
     Build one with :meth:`PrefixTrie.compile`:
 
@@ -290,95 +289,15 @@ class CompiledTrie:
             for index in range(starts[node + 1] - 1, starts[node] - 1, -1):
                 stack.append((children[index], prefix + chars[index]))
 
-    # --- exact prefix matching ----------------------------------------
-
-    def longest_exact_prefix(self, text: str) -> Optional[str]:
-        """Longest stored word that is a verbatim prefix of ``text``."""
-        transitions = self._transitions
-        terminal = self._terminal
-        shift = self._shift
-        bound = self._ord_bound
-        node = 0
-        best: Optional[str] = None
-        for i, ch in enumerate(text):
-            code = ord(ch)
-            if code >= bound:
-                break
-            node = transitions.get((node << shift) | code)
-            if node is None:
-                break
-            if terminal[node]:
-                best = text[: i + 1]
-        return best
-
     # --- fuzzy prefix matching ----------------------------------------
-
-    def fuzzy_matches(self, text: str, allow_capitalization: bool = True,
-                      allow_leet: bool = True) -> List[FuzzyMatch]:
-        """All stored words matching a prefix of ``text`` under the rules.
-
-        Same match set as :meth:`PrefixTrie.fuzzy_matches`; the order of
-        the returned list is unspecified (the pointer trie emits DFS
-        order, this sweep emits level order).
-        """
-        matches: List[FuzzyMatch] = []
-        # State: (node, capitalized, toggles).
-        frontier: List[Tuple[int, bool, Tuple[int, ...]]] = [(0, False, ())]
-        terminal = self._terminal
-        get = self._transitions.get
-        shift = self._shift
-        bound = self._ord_bound
-        for offset in range(len(text)):
-            if not frontier:
-                break
-            observed = text[offset]
-            observed_ord = ord(observed)
-            if observed_ord >= bound:
-                observed_ord = -1
-            partner_ord = _TOGGLE_ORD.get(observed, -1) if allow_leet else -1
-            if partner_ord >= bound:
-                partner_ord = -1
-            lowered_ord = (
-                ord(observed.lower())
-                if allow_capitalization and offset == 0 and observed.isupper()
-                else -1
-            )
-            if lowered_ord >= bound:
-                lowered_ord = -1
-            next_frontier = []
-            for node, capitalized, toggles in frontier:
-                packed_base = node << shift
-                if observed_ord >= 0:
-                    child = get(packed_base | observed_ord)
-                    if child is not None:
-                        next_frontier.append((child, capitalized, toggles))
-                if lowered_ord >= 0:
-                    child = get(packed_base | lowered_ord)
-                    if child is not None:
-                        next_frontier.append((child, True, toggles))
-                if partner_ord >= 0:
-                    child = get(packed_base | partner_ord)
-                    if child is not None:
-                        next_frontier.append(
-                            (child, capitalized, toggles + (offset,))
-                        )
-            frontier = next_frontier
-            for node, capitalized, toggles in frontier:
-                if terminal[node]:
-                    matches.append(
-                        FuzzyMatch(self.word_at(node), offset + 1,
-                                   capitalized, toggles)
-                    )
-        return matches
 
     def longest_fuzzy_match(self, text: str,
                             allow_capitalization: bool = True,
                             allow_leet: bool = True,
                             start: int = 0) -> Optional[FuzzyMatch]:
-        """The preferred match: longest, then fewest transformations,
-        then lexicographically smallest base — bit-for-bit the same
-        result as :meth:`PrefixTrie.longest_fuzzy_match` on
-        ``text[start:]``.
+        """The preferred match for a prefix of ``text[start:]``: longest,
+        then fewest transformations, then lexicographically smallest
+        base.
 
         ``start`` lets the parser match mid-password without slicing a
         fresh remainder string per position.  This is the scoring hot

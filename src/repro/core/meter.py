@@ -17,9 +17,8 @@ tool, paper footnote 6) and be sampled for Monte-Carlo guess numbers.
 from __future__ import annotations
 
 import random
-import warnings
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -35,8 +34,6 @@ from repro import obs
 from repro.obs.core import now as _now
 from repro.core.frozen import FrozenGrammar
 from repro.core.grammar import (
-    Derivation,
-    DerivedSegment,
     FuzzyGrammar,
     leet_rule_for_char,
     structure_label,
@@ -60,12 +57,6 @@ from repro.core.training import (
 from repro.core.trie import PrefixTrie
 from repro.meters.base import ProbabilisticMeter, probability_to_entropy
 from repro.meters.registry import Capability, TrainContext, register_meter
-from repro.metrics.enumeration import (
-    LazyDescendingList,
-    deduplicate_guesses,
-    descending_products,
-    merge_weighted_descending,
-)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.attacks.engine import AttackEngine
@@ -90,17 +81,12 @@ class FuzzyPSMConfig:
         auto_update: when True, :meth:`FuzzyPSM.probability` feeds every
             measured password back through the update phase.  The paper
             updates on *accepted* passwords, so this defaults to False
-            and :meth:`FuzzyPSM.accept` is the explicit entry point.
-        use_compiled_trie: parse against the flat-array
-            :class:`~repro.core.compiled_trie.CompiledTrie` snapshot
-            instead of walking pointer-trie nodes (``--no-compile`` on
-            the CLI turns this off).  Purely an execution-strategy
-            switch — parses are bit-for-bit identical either way.
+            and :meth:`FuzzyPSM.update` is the explicit entry point.
         parse_cache_size: capacity of the parser's LRU parse cache
             (``--parse-cache-size`` on the CLI).  Bulk scoring of
             Zipf-shaped streams hits this cache for the popular head;
             raise it for wide sweeps, shrink it for memory-constrained
-            deployments.  Another pure execution-strategy knob.
+            deployments.  A pure execution-strategy knob.
     """
 
     min_base_length: int = 3
@@ -109,7 +95,6 @@ class FuzzyPSMConfig:
     allow_reverse: bool = False
     allow_allcaps: bool = False
     auto_update: bool = False
-    use_compiled_trie: bool = True
     parse_cache_size: int = DEFAULT_PARSE_CACHE_SIZE
 
 
@@ -133,6 +118,18 @@ class Explanation:
         return out
 
 
+def _config_from_saved(saved: Dict[str, Any]) -> FuzzyPSMConfig:
+    """The config stored in a saved model (JSON or binary).
+
+    Models saved before the pointer-trie parse path was removed carry
+    a ``use_compiled_trie`` key.  It is dropped whatever its value:
+    parses were bit-identical either way.
+    """
+    options = dict(saved)
+    options.pop("use_compiled_trie", None)
+    return FuzzyPSMConfig(**options)
+
+
 def _build_parser(trie: PrefixTrie, config: FuzzyPSMConfig) -> FuzzyParser:
     """The parser matching a meter config (one construction site)."""
     return FuzzyParser(
@@ -141,7 +138,6 @@ def _build_parser(trie: PrefixTrie, config: FuzzyPSMConfig) -> FuzzyParser:
         allow_leet=config.allow_leet,
         allow_reverse=config.allow_reverse,
         allow_allcaps=config.allow_allcaps,
-        use_compiled=config.use_compiled_trie,
         parse_cache_size=config.parse_cache_size,
     )
 
@@ -460,9 +456,8 @@ class FuzzyPSM(ProbabilisticMeter):
                 chunks of distinct passwords to a pool whose workers
                 receive the compiled matchers + frozen grammar once at
                 start-up.  Batches with fewer distinct passwords than
-                the threshold — or meters parsing without the compiled
-                trie — fall back to the serial path automatically
-                (``meter.parallel.fallback.serial``).
+                the threshold fall back to the serial path
+                automatically (``meter.parallel.fallback.serial``).
             parallel_threshold: distinct-count cutoff for that fallback
                 (default :data:`PARALLEL_MIN_DISTINCT`).
 
@@ -480,10 +475,7 @@ class FuzzyPSM(ProbabilisticMeter):
                 PARALLEL_MIN_DISTINCT if parallel_threshold is None
                 else parallel_threshold
             )
-            if (
-                len(distinct) >= threshold
-                and self._config.use_compiled_trie
-            ):
+            if len(distinct) >= threshold:
                 return self._probability_many_parallel(
                     stream, distinct, jobs
                 )
@@ -626,15 +618,6 @@ class FuzzyPSM(ProbabilisticMeter):
         parsed = self.parse(password)
         self._grammar.observe(parsed.to_derivation(), count)
 
-    def accept(self, password: str, count: int = 1) -> None:
-        """Deprecated spelling of :meth:`update`."""
-        warnings.warn(
-            "FuzzyPSM.accept() is deprecated; use update()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.update(password, count)
-
     # --- serialisation -----------------------------------------------------
 
     def base_words(self) -> List[str]:
@@ -654,23 +637,14 @@ class FuzzyPSM(ProbabilisticMeter):
     def to_dict(self) -> Dict[str, Any]:
         """JSON-serialisable snapshot: base trie, grammar and config."""
         return {
-            "config": {
-                "min_base_length": self._config.min_base_length,
-                "allow_capitalization": self._config.allow_capitalization,
-                "allow_leet": self._config.allow_leet,
-                "allow_reverse": self._config.allow_reverse,
-                "allow_allcaps": self._config.allow_allcaps,
-                "auto_update": self._config.auto_update,
-                "use_compiled_trie": self._config.use_compiled_trie,
-                "parse_cache_size": self._config.parse_cache_size,
-            },
+            "config": asdict(self._config),
             "base_words": self.base_words(),
             "grammar": self._grammar.to_dict(),
         }
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "FuzzyPSM":
-        config = FuzzyPSMConfig(**data["config"])
+        config = _config_from_saved(data["config"])
         trie = PrefixTrie(
             data["base_words"], min_length=config.min_base_length
         )
@@ -695,16 +669,7 @@ class FuzzyPSM(ProbabilisticMeter):
         }
         sections.update(self._grammar.to_arrays())
         meta = {
-            "config": {
-                "min_base_length": self._config.min_base_length,
-                "allow_capitalization": self._config.allow_capitalization,
-                "allow_leet": self._config.allow_leet,
-                "allow_reverse": self._config.allow_reverse,
-                "allow_allcaps": self._config.allow_allcaps,
-                "auto_update": self._config.auto_update,
-                "use_compiled_trie": self._config.use_compiled_trie,
-                "parse_cache_size": self._config.parse_cache_size,
-            },
+            "config": asdict(self._config),
         }
         return meta, sections
 
@@ -719,7 +684,7 @@ class FuzzyPSM(ProbabilisticMeter):
         is rebuilt from the word blob.  A binary round trip yields a
         meter whose :meth:`to_dict` is byte-identical to the source.
         """
-        config = FuzzyPSMConfig(**meta["config"])
+        config = _config_from_saved(meta["config"])
         blob = sections["base_blob"]
         words: List[str] = []
         offset = 0
@@ -762,145 +727,9 @@ class FuzzyPSM(ProbabilisticMeter):
         (:meth:`attack_engine`), which enumerates the grammar's product
         lattice over the frozen flat tables with one global heap —
         probabilities are bit-identical to the scoring kernel.  Unlike
-        the legacy path (kept as :meth:`_iter_guesses_reference` for
-        differential tests and benchmarks), the stream contains only
-        guesses with probability > 0: zero-probability variants are
-        unreachable under the modelled attacker.
+        the pre-engine enumerator (kept in ``tests/oracles.py`` as the
+        differential oracle), the stream contains only guesses with
+        probability > 0: zero-probability variants are unreachable
+        under the modelled attacker.
         """
         return iter(self.attack_engine().guesses(limit=limit))
-
-    def _iter_guesses_reference(self, limit: Optional[int] = None
-                                ) -> Iterator[Tuple[str, float]]:
-        """The pre-engine per-guess enumeration (reference semantics).
-
-        Merges, over all learned base structures, the product of
-        per-slot variant streams (terminal x capitalization x leet),
-        walking the training-side count tables.  Kept as the
-        differential oracle for the engine (same guesses, same order up
-        to ties, probabilities equal within float re-association) and
-        as the baseline of ``benchmarks/test_timing_attack_engine.py``.
-        Appends zero-probability variants the engine omits.
-        """
-        slot_cache: Dict[int, LazyDescendingList[str]] = {}
-
-        def slot_list(length: int) -> LazyDescendingList[str]:
-            if length not in slot_cache:
-                slot_cache[length] = LazyDescendingList(
-                    self._slot_variants(length)
-                )
-            return slot_cache[length]
-
-        def structure_stream(structure: Tuple[int, ...]
-                             ) -> Iterator[Tuple[str, float]]:
-            factors = [slot_list(length) for length in structure]
-            for surfaces, probability in descending_products(factors):
-                yield "".join(surfaces), probability
-
-        streams: List[Tuple[float, Iterator[Tuple[str, float]]]] = []
-        total = self._grammar.structures.total
-        if total == 0:
-            return
-        for structure, count in self._grammar.structures.most_common():
-            streams.append((count / total, structure_stream(structure)))
-        merged = merge_weighted_descending(streams)
-        deduplicated = deduplicate_guesses(merged)
-        if limit is None:
-            yield from deduplicated
-        else:
-            for index, item in enumerate(deduplicated):
-                if index >= limit:
-                    return
-                yield item
-
-    def _slot_variants(self, length: int) -> Iterator[Tuple[str, float]]:
-        """Descending (surface, probability) stream for one B_n slot."""
-        table = self._grammar.terminals.get(length)
-        if table is None or table.total == 0:
-            return iter(())
-        total = table.total
-
-        def variants_of(base: str) -> Iterator[Tuple[str, float]]:
-            # Heterogeneous slots (case/reverse choices vs leet-toggle
-            # offsets), so the factor element type is Any by design.
-            factors: List[List[Tuple[Any, float]]] = [
-                self._case_reverse_factor(base)
-            ]
-            for offset, ch in enumerate(base):
-                rule = leet_rule_for_char(ch)
-                if rule is not None:
-                    factors.append(self._leet_factor(rule, offset))
-            for choices, probability in descending_products(factors):
-                capitalized, reversed_word, all_caps = choices[0]
-                toggles = tuple(
-                    offset for offset in choices[1:] if offset is not None
-                )
-                segment = DerivedSegment(base, capitalized, toggles,
-                                         reversed_word, all_caps)
-                yield segment.surface(), probability
-
-        weighted = [
-            (count / total, variants_of(base))
-            for base, count in table.most_common()
-        ]
-        return merge_weighted_descending(weighted)
-
-    def _case_reverse_factor(
-        self, base: str
-    ) -> List[Tuple[Tuple[bool, bool, bool], float]]:
-        """(capitalized, reversed, all_caps) choices for a slot.
-
-        Enumeration must only emit variants the measuring parse can
-        report, or measured and enumerated probabilities would drift:
-
-        * ``capitalized=True`` needs a lower-case first character;
-        * ``reversed_word=True`` needs the reverse rule enabled and
-          observed, a non-palindromic base that is an actual trie word
-          (fallback runs are not reverse-matchable), and — matching
-          the parser's semantics — no case rule on the same segment;
-        * ``all_caps=True`` needs the rule enabled and observed, a
-          trie-word base, and an upper-casing that changes a character
-          beyond position 0 (otherwise the surface collides with the
-          first-letter or plain reading, which the parser prefers).
-        """
-        p_cap_yes = self._grammar.capitalization_probability(True)
-        p_cap_no = self._grammar.capitalization_probability(False)
-        p_rev_yes = self._grammar.reverse_probability(True)
-        p_rev_no = self._grammar.reverse_probability(False)
-        p_ac_yes = self._grammar.allcaps_probability(True)
-        p_ac_no = self._grammar.allcaps_probability(False)
-        options = [
-            ((False, False, False), p_cap_no * p_rev_no * p_ac_no)
-        ]
-        if base[:1].islower():
-            options.append(
-                ((True, False, False), p_cap_yes * p_rev_no * p_ac_no)
-            )
-        if (
-            self._config.allow_reverse
-            and self._grammar.reverse.count(True) > 0
-            and base != base[::-1]
-            and base in self._trie
-        ):
-            options.append(
-                ((False, True, False), p_cap_no * p_rev_yes * p_ac_no)
-            )
-        if (
-            self._config.allow_allcaps
-            and self._grammar.allcaps.count(True) > 0
-            and base in self._trie
-            and base[1:] != base[1:].upper()
-        ):
-            options.append(
-                ((False, False, True), p_cap_no * p_rev_no * p_ac_yes)
-            )
-        options.sort(key=lambda item: (-item[1], item[0]))
-        return options
-
-    def _leet_factor(
-        self, rule: str, offset: int
-    ) -> List[Tuple[Optional[int], float]]:
-        p_yes = self._grammar.leet_probability(rule, True)
-        p_no = self._grammar.leet_probability(rule, False)
-        options = [(None, p_no), (offset, p_yes)]
-        options.sort(key=lambda item: (-item[1], item[0] is not None))
-        return options

@@ -1,10 +1,13 @@
-"""Prefix trie over the base dictionary, with fuzzy longest-prefix match.
+"""Prefix trie over the base dictionary, and the fuzzy-match rules.
 
 fuzzyPSM lower-cases every password from the base dictionary ``B``,
 drops entries shorter than three characters and inserts the rest into a
-trie (paper Sec. IV-C).  Training passwords are then parsed against the
-trie by *longest prefix match*, where a password character may match a
-stored character either
+trie (paper Sec. IV-C).  :class:`PrefixTrie` only collects the words;
+:meth:`PrefixTrie.compile` freezes it into the flat-array
+:class:`~repro.core.compiled_trie.CompiledTrie`, the one matcher the
+parser queries.  Passwords are parsed against it by
+*longest prefix match*, where a password character may match a stored
+character either
 
 * exactly,
 * through **capitalization** of the first character of the segment
@@ -20,7 +23,7 @@ character that belongs to a leet pair contributes one Yes/No factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.util.leet import LEET_BY_LETTER, LEET_BY_SUBSTITUTE
@@ -83,12 +86,12 @@ class _Node:
 
 
 class PrefixTrie:
-    """Stores base-dictionary words and answers fuzzy prefix queries.
+    """Stores base-dictionary words; :meth:`compile` makes the matcher.
 
     >>> trie = PrefixTrie(["password", "p@ssword", "123qwe"])
     >>> "password" in trie
     True
-    >>> match = trie.longest_fuzzy_match("P@ssw0rd123")
+    >>> match = trie.compile().longest_fuzzy_match("P@ssw0rd123")
     >>> match.base, match.capitalized
     ('p@ssword', True)
     """
@@ -157,10 +160,10 @@ class PrefixTrie:
     def compile(self) -> "CompiledTrie":
         """Freeze this trie into a :class:`CompiledTrie`.
 
-        The compiled form answers the same queries from contiguous
-        arrays (no per-node Python objects) and is what the parser's
-        hot path uses.  It is a snapshot: words inserted afterwards do
-        not appear in it.
+        The compiled form answers the fuzzy prefix queries from
+        contiguous arrays (no per-node Python objects) and is the
+        parser's only matcher.  It is a snapshot: words inserted
+        afterwards do not appear in it.
 
         Compilation cost lands in the ``trie.compile.seconds``
         telemetry histogram (one observation per snapshot), so a
@@ -171,91 +174,3 @@ class PrefixTrie:
 
         with obs.get().timer("trie.compile.seconds"):
             return CompiledTrie(self._root, self._min_length, self._size)
-
-    # --- exact prefix matching ---------------------------------------
-
-    def longest_exact_prefix(self, text: str) -> Optional[str]:
-        """Longest stored word that is a verbatim prefix of ``text``."""
-        node = self._root
-        best: Optional[str] = None
-        for i, ch in enumerate(text):
-            node = node.children.get(ch)
-            if node is None:
-                break
-            if node.terminal:
-                best = text[: i + 1]
-        return best
-
-    # --- fuzzy prefix matching ----------------------------------------
-
-    def fuzzy_matches(self, text: str, allow_capitalization: bool = True,
-                      allow_leet: bool = True) -> List[FuzzyMatch]:
-        """All stored words matching a prefix of ``text`` under the rules.
-
-        The search explores every per-character alternative (exact,
-        capitalization at offset 0, leet toggle), so all candidate
-        matches are found; branching is bounded by 2 per character.
-        """
-        matches: List[FuzzyMatch] = []
-        # Depth-first over (node, offset, base-so-far, cap, toggles).
-        stack: List[Tuple[_Node, int, str, bool, Tuple[int, ...]]] = [
-            (self._root, 0, "", False, ())
-        ]
-        while stack:
-            node, offset, base, capitalized, toggles = stack.pop()
-            if node.terminal:
-                matches.append(
-                    FuzzyMatch(base, offset, capitalized, toggles)
-                )
-            if offset >= len(text):
-                continue
-            observed = text[offset]
-            # Exact character match.
-            child = node.children.get(observed)
-            if child is not None:
-                stack.append(
-                    (child, offset + 1, base + observed, capitalized, toggles)
-                )
-            # Capitalization of the first character of the segment.
-            if allow_capitalization and offset == 0 and observed.isupper():
-                lowered = observed.lower()
-                child = node.children.get(lowered)
-                if child is not None:
-                    stack.append(
-                        (child, offset + 1, base + lowered, True, toggles)
-                    )
-            # Leet toggle: observed char is the partner of the stored one.
-            if allow_leet:
-                partner = toggle_partner(observed)
-                if partner is not None:
-                    child = node.children.get(partner)
-                    if child is not None:
-                        stack.append(
-                            (
-                                child,
-                                offset + 1,
-                                base + partner,
-                                capitalized,
-                                toggles + (offset,),
-                            )
-                        )
-        return matches
-
-    def longest_fuzzy_match(self, text: str,
-                            allow_capitalization: bool = True,
-                            allow_leet: bool = True) -> Optional[FuzzyMatch]:
-        """The preferred match: longest, then fewest transformations.
-
-        Ties after both criteria are broken lexicographically on the
-        base word so that parsing is fully deterministic.
-        """
-        matches = self.fuzzy_matches(
-            text,
-            allow_capitalization=allow_capitalization,
-            allow_leet=allow_leet,
-        )
-        if not matches:
-            return None
-        return min(
-            matches, key=lambda m: (-m.length, m.transformations, m.base)
-        )

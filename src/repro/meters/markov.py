@@ -27,7 +27,6 @@ import enum
 import math
 import random
 import string
-import warnings
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.meters.base import ProbabilisticMeter
@@ -119,7 +118,7 @@ class MarkovMeter(ProbabilisticMeter):
         self._counts_of_counts: Optional[List[Dict[int, int]]] = None
         self._order_totals: Optional[List[int]] = None
         # context -> [(successor, probability)] sorted descending; used
-        # by the guess enumerator, invalidated by observe().
+        # by the guess enumerator, invalidated by update().
         self._successor_cache: Dict[str, List[Tuple[str, float]]] = {}
 
     # --- training --------------------------------------------------------
@@ -157,15 +156,6 @@ class MarkovMeter(ProbabilisticMeter):
                 table.add(successor, count)
         self._counts_of_counts = None  # invalidate Good-Turing cache
         self._successor_cache.clear()
-
-    def observe(self, password: str, count: int = 1) -> None:
-        """Deprecated spelling of :meth:`update`."""
-        warnings.warn(
-            "MarkovMeter.observe() is deprecated; use update()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.update(password, count)
 
     # --- probabilities -----------------------------------------------------
 

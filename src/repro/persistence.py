@@ -105,8 +105,9 @@ def meter_from_dict(document: Dict[str, Any]) -> Meter:
     """Rebuild a meter from :func:`meter_to_dict` output.
 
     Raises:
-        ValueError: unsupported format version, unknown ``kind``, or a
-            ``kind`` whose registry entry is not ``Persistable``.
+        ValueError: unsupported format version, unknown ``kind``, a
+            ``kind`` whose registry entry is not ``Persistable``, or a
+            model body with a missing or unknown key.
     """
     version = document.get("format_version")
     if version != FORMAT_VERSION:
@@ -129,7 +130,14 @@ def meter_from_dict(document: Dict[str, Any]) -> Meter:
             f"meter kind {spec.kind!r} is registered without the "
             f"persistable capability; loadable kinds: {known}"
         )
-    return spec.cls.from_dict(document["model"])
+    try:
+        return spec.cls.from_dict(document["model"])
+    except KeyError as error:
+        raise ValueError(
+            f"malformed {spec.kind} model: missing key {error}"
+        ) from error
+    except TypeError as error:
+        raise ValueError(f"malformed {spec.kind} model: {error}") from error
 
 
 def save_meter(meter: Meter, path: str, fmt: str = "json") -> None:

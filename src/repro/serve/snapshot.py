@@ -72,13 +72,10 @@ class ServingSnapshot:
     def from_meter(cls, meter: Any) -> "ServingSnapshot":
         """Snapshot a ``FuzzyPSM``-shaped meter at its current epoch.
 
-        Requires the compiled-trie parse path (``use_compiled_trie``)
-        — the pointer trie is deliberately never broadcast
-        (:meth:`FuzzyParser.ensure_compiled_matchers` raises
-        otherwise).  The duck-typed surface (``parser``,
-        ``frozen_grammar``, ``trie``, ``config``) is exactly the
-        parallel-scorable capability's; callers gate on the registry
-        capability, never on a concrete meter type.
+        The duck-typed surface (``parser``, ``frozen_grammar``,
+        ``trie``, ``config``) is exactly the parallel-scorable
+        capability's; callers gate on the registry capability, never
+        on a concrete meter type.
         """
         parser: FuzzyParser = meter.parser
         forward, reversed_matcher = parser.ensure_compiled_matchers()

@@ -6,9 +6,8 @@ The engine's contract has three load-bearing clauses:
   ``FrozenGrammar.derivation_probability`` on the same derivation,
   with ``==``, not a tolerance;
 * **differential equivalence** — its deduplicated guess stream agrees
-  with the pre-engine reference enumeration
-  (``FuzzyPSM._iter_guesses_reference``) on every positive-probability
-  guess;
+  with the pre-engine reference enumeration (``iter_guesses_reference``
+  in ``tests/oracles.py``) on every positive-probability guess;
 * **beam soundness** — a floor-bounded beam yields exactly the guesses
   at or above the floor, in the same order as the full enumeration.
 """
@@ -33,6 +32,8 @@ from repro.metrics.enumeration import descending_products
 from repro.meters import registry
 from repro.meters.registry import TrainContext
 
+from tests.oracles import iter_guesses_reference
+
 BASE = ["password", "dragon", "monkey", "love", "abc", "sunshine"]
 TRAINING = [
     "password1", "Password", "dragon", "monkey12", "love123",
@@ -44,7 +45,7 @@ passwords = st.text(
     min_size=1, max_size=12,
 )
 
-#: The differential tests exhaust ``_iter_guesses_reference`` — the
+#: The differential tests exhaust ``iter_guesses_reference`` — the
 #: pre-engine cross-product enumerator, whose output is exponential in
 #: password length/segmentation — so their grammars must stay small.
 #: (The engine itself streams lazily and is exercised on the big
@@ -88,7 +89,7 @@ class TestReferenceDifferential:
         meter = trained_meter()
         reference = {
             surface: probability
-            for surface, probability in meter._iter_guesses_reference()
+            for surface, probability in iter_guesses_reference(meter)
             if probability > 0.0
         }
         engine_guesses = dict(meter.attack_engine().guesses())
@@ -104,7 +105,7 @@ class TestReferenceDifferential:
         meter = FuzzyPSM.train(base_dictionary=pws, training=pws)
         reference = {
             surface: probability
-            for surface, probability in meter._iter_guesses_reference()
+            for surface, probability in iter_guesses_reference(meter)
             if probability > 0.0
         }
         engine_guesses = dict(meter.attack_engine().guesses(limit=2000))

@@ -127,6 +127,44 @@ class TestTrainMeasureGuess:
         assert "Markov" in out
 
 
+class TestNumericFlagValidation:
+    """Negative counts are usage errors (exit 2), caught before any
+    work: no traceback, nothing saved, no silent serial fallback."""
+
+    @staticmethod
+    def usage_error(capsys, *argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(list(argv))
+        assert exit_info.value.code == 2
+        return capsys.readouterr().err
+
+    def test_negative_jobs_rejected(self, capsys, tmp_path):
+        err = self.usage_error(
+            capsys, "train", "--training", "unused.txt", "--base",
+            "unused.txt", "--jobs", "-2",
+            "--output", str(tmp_path / "m.json"),
+        )
+        assert "error: argument --jobs: must be non-negative" in err
+        assert not (tmp_path / "m.json").exists()
+
+    def test_negative_parse_cache_size_rejected(self, capsys, tmp_path):
+        err = self.usage_error(
+            capsys, "train", "--training", "unused.txt", "--base",
+            "unused.txt", "--parse-cache-size", "-3",
+            "--output", str(tmp_path / "m.json"),
+        )
+        assert "error: argument --parse-cache-size: must be " \
+            "non-negative" in err
+        assert not (tmp_path / "m.json").exists()
+
+    def test_negative_score_jobs_rejected(self, capsys):
+        err = self.usage_error(
+            capsys, "measure", "--model", "unused.json",
+            "--score-jobs", "-4", "password",
+        )
+        assert "error: argument --score-jobs: must be non-negative" in err
+
+
 class TestMeters:
     SEED_KINDS = (
         "fuzzypsm", "ideal", "keepsm", "markov", "nist", "pcfg",

@@ -1,9 +1,11 @@
-"""Equivalence suite: compiled (flat-array) trie vs pointer trie.
+"""Equivalence suite: compiled (flat-array) trie vs the pointer-trie oracle.
 
-The compiled trie is an execution-strategy change only — every query
-must be bit-for-bit identical to :class:`PrefixTrie`.  These tests
-drive both implementations with randomized fuzzy corpora (including
-leet-in-base words like ``p@ssword``) and assert identical results.
+The compiled trie is the parser's only matcher; the reference it is
+pinned to is a DFS over the pointer nodes of the source ``PrefixTrie``
+(:class:`tests.oracles.PointerMatcher`).  These tests drive both with
+randomized fuzzy corpora (including leet-in-base words like
+``p@ssword``) and assert bit-for-bit identical results, for the
+matcher alone and for the whole parse loop running over each.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ from repro.core.compiled_trie import CompiledTrie
 from repro.core.parser import FuzzyParser
 from repro.core.trie import PrefixTrie
 from repro.util.leet import LEET_BY_LETTER
+
+from tests.oracles import PointerMatcher, pointer_parser
 
 
 WORDS = [
@@ -93,12 +97,16 @@ class TestBasicQueries:
         assert list(compiled.iter_words()) == sorted(words)
 
     def test_longest_exact_prefix(self, tries):
+        # With both rules off the fuzzy matcher is an exact
+        # longest-prefix match.
         pointer, compiled, words, rng = tries
+        oracle = PointerMatcher(pointer)
         for probe in random_probes(rng, words, 500):
-            assert (
-                compiled.longest_exact_prefix(probe)
-                == pointer.longest_exact_prefix(probe)
+            match = compiled.longest_fuzzy_match(
+                probe, allow_capitalization=False, allow_leet=False
             )
+            assert (match and match.base) == \
+                oracle.longest_exact_prefix(probe), probe
 
     def test_compile_is_a_snapshot(self):
         trie = PrefixTrie(["password"])
@@ -118,10 +126,11 @@ class TestFuzzyEquivalence:
         self, tries, allow_capitalization, allow_leet
     ):
         pointer, compiled, words, rng = tries
+        oracle = PointerMatcher(pointer)
         probes = random_probes(rng, words, 1200)
         probes += ["", "P@ssw0rd123", "DRAGON", "he11o!!", "M0nkey1"]
         for probe in probes:
-            expected = pointer.longest_fuzzy_match(
+            expected = oracle.longest_fuzzy_match(
                 probe,
                 allow_capitalization=allow_capitalization,
                 allow_leet=allow_leet,
@@ -133,18 +142,12 @@ class TestFuzzyEquivalence:
             )
             assert actual == expected, probe
 
-    def test_fuzzy_matches_same_set(self, tries):
-        pointer, compiled, words, rng = tries
-        for probe in random_probes(rng, words, 400):
-            expected = set(pointer.fuzzy_matches(probe))
-            actual = set(compiled.fuzzy_matches(probe))
-            assert actual == expected, probe
-
     def test_start_offset_equals_slicing(self, tries):
         pointer, compiled, words, rng = tries
+        oracle = PointerMatcher(pointer)
         for probe in random_probes(rng, words, 300):
             for start in range(min(len(probe), 5)):
-                expected = pointer.longest_fuzzy_match(probe[start:])
+                expected = oracle.longest_fuzzy_match(probe[start:])
                 actual = compiled.longest_fuzzy_match(probe, start=start)
                 assert actual == expected, (probe, start)
 
@@ -163,10 +166,11 @@ class TestFuzzyEquivalence:
         words = ["abc", "a8c", "obo", "0b0"]
         pointer = PrefixTrie(words)
         compiled = pointer.compile()
+        oracle = PointerMatcher(pointer)
         for probe in ("abc1", "a8c1", "obo!", "0b0!", "Abc", "ObO"):
             assert (
                 compiled.longest_fuzzy_match(probe)
-                == pointer.longest_fuzzy_match(probe)
+                == oracle.longest_fuzzy_match(probe)
             ), probe
 
 
@@ -177,7 +181,6 @@ class TestLayoutEdgeCases:
         assert list(compiled.iter_words()) == []
         assert "password" not in compiled
         assert compiled.longest_fuzzy_match("password") is None
-        assert compiled.fuzzy_matches("password") == []
 
     def test_out_of_alphabet_probe_chars(self):
         # The packed-key shift is sized to the edge alphabet; ordinals
@@ -192,22 +195,24 @@ class TestLayoutEdgeCases:
         # the '@'->'a' toggle must be a miss, not an aliased hit.
         pointer = PrefixTrie(["111", "000"])
         compiled = pointer.compile()
+        oracle = PointerMatcher(pointer)
         for probe in ("@11", "11@", "ooo", "0o0", "aaa"):
             assert (
                 compiled.longest_fuzzy_match(probe)
-                == pointer.longest_fuzzy_match(probe)
+                == oracle.longest_fuzzy_match(probe)
             ), probe
 
     def test_unicode_words(self):
         words = ["пароль", "密码密码", "motdepasse"]
         pointer = PrefixTrie(words)
         compiled = pointer.compile()
+        oracle = PointerMatcher(pointer)
         assert list(compiled.iter_words()) == sorted(words)
         for word in words:
             assert word in compiled
             assert (
                 compiled.longest_fuzzy_match(word + "1")
-                == pointer.longest_fuzzy_match(word + "1")
+                == oracle.longest_fuzzy_match(word + "1")
             )
 
     def test_word_at_reconstruction(self, tries):
@@ -217,7 +222,7 @@ class TestLayoutEdgeCases:
 
 
 class TestParserEquivalence:
-    """FuzzyParser(use_compiled=True) == FuzzyParser(use_compiled=False)."""
+    """The parse loop over the compiled trie == over the pointer oracle."""
 
     @pytest.mark.parametrize("flags", [
         {},
@@ -229,8 +234,8 @@ class TestParserEquivalence:
     ])
     def test_parse_identical(self, tries, flags):
         pointer, _, words, rng = tries
-        fast = FuzzyParser(pointer, use_compiled=True, **flags)
-        slow = FuzzyParser(pointer, use_compiled=False, **flags)
+        fast = FuzzyParser(pointer, **flags)
+        slow = pointer_parser(pointer, **flags)
         probes = random_probes(rng, words, 300)
         probes += ["DRAGON99", "drowssap", "NOGARD", "P@ssw0rd!"]
         for probe in probes:
@@ -238,17 +243,10 @@ class TestParserEquivalence:
 
     def test_compiled_matcher_is_lazy(self, tries):
         pointer, _, _, _ = tries
-        parser = FuzzyParser(pointer, use_compiled=True)
+        parser = FuzzyParser(pointer)
         assert parser.compiled_trie is None
         parser.parse("password")
         assert isinstance(parser.compiled_trie, CompiledTrie)
-
-    def test_no_compile_never_builds(self, tries):
-        pointer, _, _, _ = tries
-        parser = FuzzyParser(pointer, use_compiled=False)
-        parser.parse("password123")
-        assert parser.compiled_trie is None
-        assert not parser.use_compiled
 
     def test_reversed_trie_is_lazy(self, tries):
         pointer, _, _, _ = tries

@@ -1,8 +1,16 @@
-"""Unit tests for the prefix trie and fuzzy longest-prefix matching."""
+"""Unit tests for the prefix trie and fuzzy longest-prefix matching.
+
+:class:`PrefixTrie` only collects words; matching runs on its
+compiled form (``trie.compile()``), and the pointer-trie reference
+matcher of ``tests/oracles.py`` covers the queries only the oracle
+answers.
+"""
 
 import pytest
 
 from repro.core.trie import FuzzyMatch, PrefixTrie, toggle_partner
+
+from tests.oracles import PointerMatcher
 
 
 class TestInsertLookup:
@@ -38,16 +46,16 @@ class TestInsertLookup:
 
 class TestExactPrefix:
     def test_longest_exact(self):
-        trie = PrefixTrie(["pass", "password"])
-        assert trie.longest_exact_prefix("password123") == "password"
+        oracle = PointerMatcher(PrefixTrie(["pass", "password"]))
+        assert oracle.longest_exact_prefix("password123") == "password"
 
     def test_shorter_fallback(self):
-        trie = PrefixTrie(["pass", "password"])
-        assert trie.longest_exact_prefix("passw1") == "pass"
+        oracle = PointerMatcher(PrefixTrie(["pass", "password"]))
+        assert oracle.longest_exact_prefix("passw1") == "pass"
 
     def test_no_match(self):
-        trie = PrefixTrie(["abc"])
-        assert trie.longest_exact_prefix("xyz") is None
+        oracle = PointerMatcher(PrefixTrie(["abc"]))
+        assert oracle.longest_exact_prefix("xyz") is None
 
 
 class TestTogglePartner:
@@ -63,7 +71,7 @@ class TestTogglePartner:
 
 class TestFuzzyMatching:
     def test_exact_match_found(self):
-        trie = PrefixTrie(["password"])
+        trie = PrefixTrie(["password"]).compile()
         match = trie.longest_fuzzy_match("password123")
         assert match.base == "password"
         assert match.length == 8
@@ -71,18 +79,18 @@ class TestFuzzyMatching:
         assert match.toggled_offsets == ()
 
     def test_capitalization_at_offset_zero(self):
-        trie = PrefixTrie(["password"])
+        trie = PrefixTrie(["password"]).compile()
         match = trie.longest_fuzzy_match("Password123")
         assert match.base == "password"
         assert match.capitalized
 
     def test_capitalization_not_mid_segment(self):
-        trie = PrefixTrie(["password"])
+        trie = PrefixTrie(["password"]).compile()
         # "pAssword": uppercase beyond offset 0 cannot match.
         assert trie.longest_fuzzy_match("pAssword") is None
 
     def test_leet_toggle(self):
-        trie = PrefixTrie(["password"])
+        trie = PrefixTrie(["password"]).compile()
         match = trie.longest_fuzzy_match("p@ssw0rd")
         assert match.base == "password"
         assert match.toggled_offsets == (1, 5)
@@ -90,32 +98,32 @@ class TestFuzzyMatching:
     def test_leet_toggle_reverse_direction(self):
         # Base dictionaries can contain substitute characters
         # (Table IV has B8 -> p@ssword); "a" then matches stored "@".
-        trie = PrefixTrie(["p@ssword"])
+        trie = PrefixTrie(["p@ssword"]).compile()
         match = trie.longest_fuzzy_match("password")
         assert match.base == "p@ssword"
         assert match.toggled_offsets == (1,)
 
     def test_combined_cap_and_leet(self):
-        trie = PrefixTrie(["password"])
+        trie = PrefixTrie(["password"]).compile()
         match = trie.longest_fuzzy_match("P@ssw0rd!!!")
         assert match.capitalized
         assert match.toggled_offsets == (1, 5)
         assert match.transformations == 3
 
     def test_longest_wins(self):
-        trie = PrefixTrie(["pass", "password"])
+        trie = PrefixTrie(["pass", "password"]).compile()
         match = trie.longest_fuzzy_match("password")
         assert match.base == "password"
 
     def test_fewest_transformations_breaks_ties(self):
         # Both "p@ss" (0 toggles) and "pass" (1 toggle) match "p@ss".
-        trie = PrefixTrie(["pass", "p@ss"])
+        trie = PrefixTrie(["pass", "p@ss"]).compile()
         match = trie.longest_fuzzy_match("p@ssXYZ")
         assert match.base == "p@ss"
         assert match.transformations == 0
 
     def test_flags_disable_transformations(self):
-        trie = PrefixTrie(["password"])
+        trie = PrefixTrie(["password"]).compile()
         assert trie.longest_fuzzy_match(
             "Password", allow_capitalization=False
         ) is None
@@ -124,15 +132,15 @@ class TestFuzzyMatching:
         ) is None
 
     def test_all_matches_enumerated(self):
-        trie = PrefixTrie(["pass", "password", "p@ss"])
-        matches = trie.fuzzy_matches("p@ssword")
+        oracle = PointerMatcher(PrefixTrie(["pass", "password", "p@ss"]))
+        matches = oracle.fuzzy_matches("p@ssword")
         bases = {m.base for m in matches}
         assert bases == {"pass", "password", "p@ss"}
 
     def test_no_match_returns_none(self):
-        trie = PrefixTrie(["abc"])
+        trie = PrefixTrie(["abc"]).compile()
         assert trie.longest_fuzzy_match("zzz") is None
 
     def test_empty_text(self):
-        trie = PrefixTrie(["abc"])
+        trie = PrefixTrie(["abc"]).compile()
         assert trie.longest_fuzzy_match("") is None

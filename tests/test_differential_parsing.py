@@ -2,7 +2,9 @@
 
 The performance layer (compiled trie, parse cache, batch scoring) is
 contractually an execution-strategy change only.  These tests pit each
-fast path against its reference implementation on generated inputs —
+fast path against its reference implementation (for the compiled trie:
+the pointer-trie DFS of ``tests/oracles.py``, run through the same
+parse loop) on generated inputs —
 unicode text, leet-dense dictionary mashups, lengths 0-64 — and demand
 bitwise-identical results.
 
@@ -17,12 +19,13 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from repro.core.meter import FuzzyPSM, FuzzyPSMConfig  # noqa: E402
+from repro.core.meter import FuzzyPSM  # noqa: E402
 from repro.core.parser import FuzzyParser  # noqa: E402
 from repro.core.training import build_base_trie  # noqa: E402
 from repro.util.leet import LEET_BY_LETTER  # noqa: E402
 
 from tests.conftest import BASE_DICTIONARY, TRAINING_PASSWORDS  # noqa: E402
+from tests.oracles import pointer_parser, pointer_probabilities  # noqa: E402
 
 #: A dictionary rich in leet-able letters and shared prefixes, so the
 #: longest-prefix-match tie-breaking actually gets exercised.
@@ -69,10 +72,7 @@ PASSWORDS = st.one_of(st.text(max_size=64), leet_dense(), mashup())
 
 def _parser_pair(**flags) -> "tuple[FuzzyParser, FuzzyParser]":
     trie = build_base_trie(WORDS)
-    return (
-        FuzzyParser(trie, use_compiled=True, **flags),
-        FuzzyParser(trie, use_compiled=False, **flags),
-    )
+    return FuzzyParser(trie, **flags), pointer_parser(trie, **flags)
 
 
 _COMPILED, _POINTER = _parser_pair()
@@ -82,10 +82,6 @@ _COMPILED_FULL, _POINTER_FULL = _parser_pair(
 _CACHED_PARSER = FuzzyParser(build_base_trie(WORDS), parse_cache_size=64)
 
 _METER = FuzzyPSM.train(WORDS, TRAINING_PASSWORDS)
-_POINTER_METER = FuzzyPSM.train(
-    WORDS, TRAINING_PASSWORDS,
-    config=FuzzyPSMConfig(use_compiled_trie=False),
-)
 
 
 class TestCompiledVsPointerTrie:
@@ -105,9 +101,8 @@ class TestCompiledVsPointerTrie:
     @given(batch=st.lists(PASSWORDS, max_size=20))
     @DETERMINISTIC
     def test_meter_probabilities_are_identical(self, batch):
-        assert (
-            _METER.probability_many(batch)
-            == _POINTER_METER.probability_many(batch)
+        assert _METER.probability_many(batch) == pointer_probabilities(
+            WORDS, TRAINING_PASSWORDS, batch
         )
 
 

@@ -34,6 +34,7 @@ MODULES = [
     "repro.util.freqdist",
     "repro.util.leet",
     "repro.attacks.simulator",
+    "tests.oracles",
 ]
 
 

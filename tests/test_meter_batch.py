@@ -18,6 +18,7 @@ from repro.core.training import build_base_trie, train_grammar
 from repro.util.freqdist import FrequencyDistribution
 
 from tests.conftest import BASE_DICTIONARY, TRAINING_PASSWORDS
+from tests.oracles import pointer_probabilities
 
 
 def probe_stream(rng: random.Random, count: int) -> list:
@@ -84,12 +85,10 @@ class TestProbabilityMany:
 
     def test_compiled_and_pointer_meters_agree(self, rng):
         fast = FuzzyPSM.train(BASE_DICTIONARY, TRAINING_PASSWORDS)
-        slow = FuzzyPSM.train(
-            BASE_DICTIONARY, TRAINING_PASSWORDS,
-            config=FuzzyPSMConfig(use_compiled_trie=False),
-        )
         probes = probe_stream(rng, 300)
-        assert fast.probability_many(probes) == slow.probability_many(probes)
+        assert fast.probability_many(probes) == pointer_probabilities(
+            BASE_DICTIONARY, TRAINING_PASSWORDS, probes
+        )
 
 
 class TestParallelTraining:
@@ -170,11 +169,11 @@ class TestCountValidation:
                                        training_passwords):
         meter = FuzzyPSM.train(base_dictionary, training_passwords)
         with pytest.raises(ValueError, match="positive"):
-            meter.accept("password1", count=0)
+            meter.update("password1", count=0)
         with pytest.raises(ValueError, match="positive"):
-            meter.accept("password1", count=-1)
+            meter.update("password1", count=-1)
         before = meter.grammar.total_passwords
-        meter.accept("password1", count=2)
+        meter.update("password1", count=2)
         assert meter.grammar.total_passwords == before + 2
 
 
@@ -197,22 +196,27 @@ class TestSerialisation:
         assert "zzznewword" in after
 
     def test_round_trip_preserves_config_and_scores(self, rng):
-        config = FuzzyPSMConfig(use_compiled_trie=False)
+        config = FuzzyPSMConfig(allow_reverse=True, parse_cache_size=17)
         meter = FuzzyPSM.train(
             BASE_DICTIONARY, TRAINING_PASSWORDS, config=config
         )
         clone = FuzzyPSM.from_dict(meter.to_dict())
         assert clone.config == config
-        assert not clone.config.use_compiled_trie
         probes = probe_stream(rng, 100)
         assert clone.probability_many(probes) == \
             meter.probability_many(probes)
 
     def test_legacy_dict_defaults_to_compiled(self, fuzzy_meter):
-        data = fuzzy_meter.to_dict()
-        del data["config"]["use_compiled_trie"]
-        clone = FuzzyPSM.from_dict(data)
-        assert clone.config.use_compiled_trie
+        # Dicts saved while the pointer-trie switch existed carry
+        # ``use_compiled_trie``; either value loads into the one
+        # compiled-trie parser.
+        for value in (True, False):
+            data = fuzzy_meter.to_dict()
+            data["config"]["use_compiled_trie"] = value
+            clone = FuzzyPSM.from_dict(data)
+            assert clone.config == fuzzy_meter.config
+            clone.probability("password1")
+            assert clone.parser.compiled_trie is not None
 
 
 class TestGrammarMerge:

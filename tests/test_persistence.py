@@ -203,3 +203,54 @@ class TestLoadErrorPaths:
     def test_version_checked_before_kind(self):
         with pytest.raises(ValueError, match="format version"):
             meter_from_dict({"kind": "oracle", "model": {}})
+
+    def test_unknown_config_key_is_a_value_error(self, fuzzy, tmp_path):
+        document = meter_to_dict(fuzzy)
+        document["model"]["config"]["bogus"] = 1
+        path = str(tmp_path / "bad.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(document, handle)
+        with pytest.raises(ValueError, match="malformed.*'bogus'"):
+            load_meter(path)
+
+    def test_missing_model_key_is_a_value_error(self, fuzzy):
+        document = meter_to_dict(fuzzy)
+        del document["model"]["grammar"]
+        with pytest.raises(ValueError, match="missing key 'grammar'"):
+            meter_from_dict(document)
+
+
+class TestRetiredConfigKey:
+    """Models saved while the parser still had a pointer-trie mode carry
+    ``use_compiled_trie`` in their config; parses were bit-identical
+    either way, so the key is dropped on load whatever its value."""
+
+    @pytest.mark.parametrize("value", [True, False])
+    @pytest.mark.parametrize("fmt", ["json", "binary"])
+    def test_use_compiled_trie_is_dropped(self, fuzzy, tmp_path,
+                                          monkeypatch, fmt, value):
+        to_dict, to_buffers = FuzzyPSM.to_dict, FuzzyPSM.to_buffers
+
+        def to_dict_with_key(meter):
+            data = to_dict(meter)
+            data["config"]["use_compiled_trie"] = value
+            return data
+
+        def to_buffers_with_key(meter):
+            meta, sections = to_buffers(meter)
+            meta["config"]["use_compiled_trie"] = value
+            return meta, sections
+
+        path = str(tmp_path / f"old.{fmt}")
+        with monkeypatch.context() as patch:
+            patch.setattr(FuzzyPSM, "to_dict", to_dict_with_key)
+            patch.setattr(FuzzyPSM, "to_buffers", to_buffers_with_key)
+            save_meter(fuzzy, path, fmt=fmt)
+        with open(path, "rb") as handle:
+            assert b'"use_compiled_trie"' in handle.read()
+        loaded = load_meter(path)
+        assert loaded.config == fuzzy.config
+        assert loaded.to_dict() == fuzzy.to_dict()
+        assert loaded.probability_many(PROBES) == [
+            fuzzy.probability(probe) for probe in PROBES
+        ]

@@ -11,6 +11,8 @@ from repro.core.training import build_base_trie
 from repro.core.trie import PrefixTrie
 from repro.util.leet import LEET_BY_LETTER
 
+from tests.oracles import PointerMatcher
+
 printable = st.text(
     alphabet=string.ascii_letters + string.digits + "!@#$%^&*()_+-=.",
     min_size=1, max_size=16,
@@ -35,7 +37,7 @@ class TestPrefixTrieProperties:
         trie = PrefixTrie()
         for word in words:
             trie.insert(word)
-        result = trie.longest_exact_prefix(query)
+        result = PointerMatcher(trie).longest_exact_prefix(query)
         if result is not None:
             assert query.startswith(result)
             assert result in trie
@@ -45,7 +47,7 @@ class TestPrefixTrieProperties:
         trie = PrefixTrie()
         for word in words:
             trie.insert(word)
-        result = trie.longest_exact_prefix(query)
+        result = PointerMatcher(trie).longest_exact_prefix(query)
         longest_manual = max(
             (w for w in set(words) if query.startswith(w)),
             key=len, default=None,
@@ -78,7 +80,7 @@ class TestGrammarProperties:
         meter = FuzzyPSM.train(
             base_dictionary=passwords, training=passwords
         )
-        meter.accept(new)
+        meter.update(new)
         assert meter.probability(new) > 0.0
 
     @given(st.lists(printable, min_size=1, max_size=15), printable,
@@ -91,8 +93,8 @@ class TestGrammarProperties:
         meter_many = FuzzyPSM.train(
             base_dictionary=passwords, training=passwords
         )
-        meter_once.accept(new)
-        meter_many.accept(new, count=count + 1)
+        meter_once.update(new)
+        meter_many.update(new, count=count + 1)
         assert (
             meter_many.probability(new) >= meter_once.probability(new)
         )
@@ -205,8 +207,8 @@ class TestTrieFuzzyMatchProperties:
     @settings(max_examples=60)
     def test_fuzzy_superset_of_exact(self, words, query):
         trie = PrefixTrie(words)
-        exact = trie.longest_exact_prefix(query)
-        fuzzy = trie.longest_fuzzy_match(query)
+        exact = PointerMatcher(trie).longest_exact_prefix(query)
+        fuzzy = trie.compile().longest_fuzzy_match(query)
         if exact is not None:
             assert fuzzy is not None
             assert fuzzy.length >= len(exact)
@@ -215,7 +217,7 @@ class TestTrieFuzzyMatchProperties:
     @settings(max_examples=60)
     def test_match_surface_is_query_prefix(self, words, query):
         trie = PrefixTrie(words)
-        match = trie.longest_fuzzy_match(query)
+        match = trie.compile().longest_fuzzy_match(query)
         if match is not None:
             segment = DerivedSegment(
                 match.base, match.capitalized, match.toggled_offsets
